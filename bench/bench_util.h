@@ -216,7 +216,6 @@ inline TransferSample run_wan_get(
   gridftp::TransferOptions options;
   options.parallel_streams = streams;
   options.tcp_buffer = tcp_buffer;
-  options.transfer_model = model;
   options.flow_engine = engine.get();
 
   TransferSample sample;

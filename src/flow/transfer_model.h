@@ -9,11 +9,13 @@
 // event count, which is what makes grid-scale scenarios (10^5+ concurrent
 // transfers, bench/bench_flow.cpp) feasible.
 //
-// gridftp::TransferOptions, gridftp::FtpServerConfig and
-// testbed::SiteConfig / GridConfig carry a {TransferModel, FlowEngine*}
-// pair; both paths emit identical Perf/Restart markers into
-// obs::TransferChannel, so the scheduler's EWMA selector and tracing work
-// unchanged on either.
+// One knob selects the model: testbed::GridConfig::transfer_model decides
+// whether the grid builds a FlowEngine. Below the testbed the engine
+// pointer is the selector — gridftp::TransferOptions::flow_engine,
+// gridftp::FtpServerConfig::flow_engine and testbed::SiteConfig::flow_engine
+// move payloads as flows when set and as TCP segments when null. Both
+// paths emit identical Perf/Restart markers into obs::TransferChannel, so
+// the scheduler's EWMA selector and tracing work unchanged on either.
 #pragma once
 
 namespace gdmp::flow {

@@ -10,9 +10,13 @@
 namespace gdmp::gridftp {
 namespace {
 
-bool fluid_selected(const TransferOptions& options) noexcept {
-  return options.transfer_model == flow::TransferModel::kFluid &&
-         options.flow_engine != nullptr;
+/// Encodes the {count, (offset, length)...} range list of RETR and FGET.
+void write_ranges(rpc::Writer& w, const std::vector<ByteRange>& ranges) {
+  w.u32(static_cast<std::uint32_t>(ranges.size()));
+  for (const ByteRange& range : ranges) {
+    w.i64(range.offset);
+    w.i64(range.length);
+  }
 }
 
 /// Content identity of a stored *partial* file: a subrange of a synthetic
@@ -73,9 +77,9 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   std::vector<obs::SpanId> stream_spans;
   std::vector<Bytes> stream_bytes;
 
-  // Fluid path (options.transfer_model == kFluid): one flow per stripe in
-  // place of the TCP data streams; the control channel, verification and
-  // restart logic are shared with the packet path.
+  // Fluid path (options.flow_engine set): one flow per stripe in place of
+  // the TCP data streams; the control channel, verification and restart
+  // logic are shared with the packet path.
   std::vector<flow::FlowId> flows;
   std::vector<std::vector<ByteRange>> flow_ranges;  // stripe -> ranges
   std::vector<std::uint64_t> flow_seeds;            // stripe -> content seed
@@ -101,6 +105,15 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
     }
     streams.clear();
     parsers.clear();
+  }
+
+  /// Fluid progress: earlier attempts' payload plus this attempt's stripes.
+  /// Recomputed (not +=): the monitor may already have pulled a partial
+  /// count for a stripe into payload_bytes.
+  void recount_fluid_payload() {
+    Bytes current = 0;
+    for (const Bytes b : stream_bytes) current += b;
+    payload_bytes = payload_base + current;
   }
 
   std::int64_t sum_retransmits() const {
@@ -130,19 +143,7 @@ FtpClient::~FtpClient() {
   for (std::weak_ptr<Transfer>& weak : in_flight) {
     auto transfer = weak.lock();
     if (!transfer || transfer->finished) continue;
-    transfer->finished = true;
-    if (transfer->monitor) {
-      transfer->monitor->stop();
-      transfer->monitor.reset();
-    }
-    transfer->close_streams();
-    cancel_flows(transfer);
-    if (transfer->rpc) transfer->rpc->close();
-    if (transfer->span.valid()) {
-      auto& tracer = obs::Tracer::global();
-      tracer.attr(transfer->span, "status", "cancelled: client destroyed");
-      tracer.end(transfer->span);
-    }
+    shut_down(transfer, "cancelled: client destroyed");
     if (transfer->done) {
       Done done = std::move(transfer->done);
       done(make_error(ErrorCode::kAborted, "ftp client destroyed"));
@@ -163,11 +164,9 @@ FtpClient::~FtpClient() {
 FtpClient::ControlRpc FtpClient::make_control_rpc(net::NodeId server,
                                                   net::Port port,
                                                   SimDuration timeout) {
-  // gdmp-lint: hot-alloc — one shared box per control RPC (size/checksum/delete/3rd-party)
   auto rpc = std::make_shared<std::unique_ptr<rpc::RpcClient>>(
       make_rpc(server, port, timeout));
   std::erase_if(control_rpcs_, [](const auto& w) { return w.expired(); });
-  // gdmp-lint: hot-alloc — one registry slot per control RPC, reclaimed on the next call
   control_rpcs_.push_back(rpc);
   return rpc;
 }
@@ -176,7 +175,6 @@ std::unique_ptr<rpc::RpcClient> FtpClient::make_rpc(
     net::NodeId server, net::Port port, SimDuration timeout) const {
   rpc::RpcClientConfig config;
   config.call_timeout = timeout;
-  // gdmp-lint: hot-alloc — RPC clients live for a whole control session, not per event
   return std::make_unique<rpc::RpcClient>(stack_, server, port, ca_,
                                           credential_, config);
 }
@@ -184,7 +182,6 @@ std::unique_ptr<rpc::RpcClient> FtpClient::make_rpc(
 std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
     net::NodeId server, net::Port port, const TransferOptions& options,
     Done done) {
-  // gdmp-lint: hot-alloc — one state block per transfer, amortised over its lifetime
   auto transfer = std::make_shared<Transfer>();
   transfer->server = server;
   transfer->control_port = port;
@@ -200,7 +197,6 @@ std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
   }
   std::erase_if(in_flight_,
                 [](const std::weak_ptr<Transfer>& t) { return t.expired(); });
-  // gdmp-lint: hot-alloc — one registry slot per transfer, amortised over its lifetime
   in_flight_.push_back(transfer);
   return transfer;
 }
@@ -241,17 +237,35 @@ void FtpClient::get(net::NodeId server, net::Port control_port,
         }
         transfer->requested = {range};
         transfer->attempt_ranges = {range};
-        start_get_attempt(transfer);
+        start_attempt(transfer);
       });
 }
 
-void FtpClient::start_get_attempt(const std::shared_ptr<Transfer>& transfer) {
-  if (fluid_selected(transfer->options)) {
-    start_fluid_get_attempt(transfer);
-    return;
-  }
+void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
   ++transfer->attempts;
   transfer->close_streams();
+  cancel_flows(transfer);
+  transfer->payload_base = transfer->payload_bytes;
+  if (transfer->options.flow_engine != nullptr) {
+    if (!transfer->is_put) {
+      send_fget(transfer);
+      return;
+    }
+    const auto parts = partition_range(ByteRange{0, transfer->file_size},
+                                       transfer->options.parallel_streams,
+                                       transfer->file_size);
+    if (parts.empty()) {
+      complete(transfer,
+               make_error(ErrorCode::kInvalidArgument, "empty fluid PUT"));
+      return;
+    }
+    transfer->flow_ranges.assign(parts.size(), {});
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      transfer->flow_ranges[i] = {parts[i]};
+    }
+    start_flows(transfer);
+    return;
+  }
   std::weak_ptr<bool> alive = alive_;
 
   rpc::Writer sbuf;
@@ -281,25 +295,27 @@ void FtpClient::start_get_attempt(const std::shared_ptr<Transfer>& transfer) {
               transfer->token = r.u64();
               open_streams(transfer, [this, alive, transfer] {
                 if (alive.expired() || transfer->finished) return;
-                rpc::Writer retr;
-                retr.u64(transfer->token);
-                retr.str(transfer->remote_path);
-                retr.u32(static_cast<std::uint32_t>(
-                    transfer->attempt_ranges.size()));
-                for (const ByteRange& range : transfer->attempt_ranges) {
-                  retr.i64(range.offset);
-                  retr.i64(range.length);
+                if (transfer->is_put) {
+                  send_stor(transfer);
+                } else {
+                  send_retr(transfer);
                 }
-                transfer->rpc->call(
-                    kCmdRetrieve, retr.take(),
-                    [this, alive, transfer](Status retr_status,
-                                            std::vector<std::uint8_t> rep) {
-                      if (alive.expired() || transfer->finished) return;
-                      finish_get_attempt(transfer, std::move(retr_status),
-                                         rep);
-                    });
               });
             });
+      });
+}
+
+void FtpClient::send_retr(const std::shared_ptr<Transfer>& transfer) {
+  std::weak_ptr<bool> alive = alive_;
+  rpc::Writer retr;
+  retr.u64(transfer->token);
+  retr.str(transfer->remote_path);
+  write_ranges(retr, transfer->attempt_ranges);
+  transfer->rpc->call(
+      kCmdRetrieve, retr.take(),
+      [this, alive, transfer](Status status, std::vector<std::uint8_t> reply) {
+        if (alive.expired() || transfer->finished) return;
+        finish_get_attempt(transfer, std::move(status), reply);
       });
 }
 
@@ -310,9 +326,7 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
   tcp.send_buffer = transfer->options.tcp_buffer;
   tcp.recv_buffer = transfer->options.tcp_buffer;
 
-  // gdmp-lint: hot-alloc — per-transfer stream setup, once before data flows
   auto established = std::make_shared<int>(0);
-  // gdmp-lint: hot-alloc — per-transfer stream setup, once before data flows
   auto ready = std::make_shared<std::function<void()>>(std::move(when_ready));
   std::weak_ptr<bool> alive = alive_;
 
@@ -330,7 +344,6 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
       tracer.attr(stream_span, "stripe", static_cast<std::int64_t>(i));
       transfer->stream_spans[static_cast<std::size_t>(i)] = stream_span;
     }
-    // gdmp-lint: hot-alloc — one parser per data stream, allocated at stream open
     auto parser = std::make_unique<BlockStreamParser>();
     auto* parser_raw = parser.get();
 
@@ -395,7 +408,6 @@ void FtpClient::ensure_monitor(const std::shared_ptr<Transfer>& transfer) {
   if (transfer->monitor) return;
   transfer->last_sampled_bytes = 0;
   std::weak_ptr<bool> alive = alive_;
-  // gdmp-lint: hot-alloc — one progress monitor per transfer, created lazily once
   transfer->monitor = std::make_unique<sim::PeriodicTimer>(
       stack_.simulator(), transfer->options.monitor_interval,
       [this, alive, transfer] {
@@ -411,14 +423,12 @@ void FtpClient::monitor_tick(const std::shared_ptr<Transfer>& transfer) {
   // (the packet path's parsers update stream_bytes directly instead).
   if (!transfer->flows.empty()) {
     flow::FlowEngine* engine = transfer->options.flow_engine;
-    Bytes current = 0;
     for (std::size_t i = 0; i < transfer->flows.size(); ++i) {
       if (engine->active(transfer->flows[i])) {
         transfer->stream_bytes[i] = engine->transferred(transfer->flows[i]);
       }
-      current += transfer->stream_bytes[i];
     }
-    transfer->payload_bytes = transfer->payload_base + current;
+    transfer->recount_fluid_payload();
   }
   const Bytes now_bytes = transfer->payload_bytes;
   const double mbps = throughput_mbps(
@@ -453,13 +463,8 @@ void FtpClient::cancel_flows(const std::shared_ptr<Transfer>& transfer) {
   transfer->flows_outstanding = 0;
 }
 
-void FtpClient::start_fluid_get_attempt(
-    const std::shared_ptr<Transfer>& transfer) {
-  ++transfer->attempts;
-  cancel_flows(transfer);
-  transfer->payload_base = transfer->payload_bytes;
+void FtpClient::send_fget(const std::shared_ptr<Transfer>& transfer) {
   std::weak_ptr<bool> alive = alive_;
-
   // One metadata round-trip replaces SBUF/PASV/RETR: the server resolves
   // the ranges, charges the source disk read, and returns the content
   // identity per stripe (a poisoned stripe seed is the fluid analogue of a
@@ -467,11 +472,7 @@ void FtpClient::start_fluid_get_attempt(
   rpc::Writer w;
   w.str(transfer->remote_path);
   w.u32(static_cast<std::uint32_t>(transfer->options.parallel_streams));
-  w.u32(static_cast<std::uint32_t>(transfer->attempt_ranges.size()));
-  for (const ByteRange& range : transfer->attempt_ranges) {
-    w.i64(range.offset);
-    w.i64(range.length);
-  }
+  write_ranges(w, transfer->attempt_ranges);
   transfer->rpc->call(
       kCmdFluidGet, w.take(),
       [this, alive, transfer](Status status, std::vector<std::uint8_t> reply) {
@@ -496,119 +497,51 @@ void FtpClient::start_fluid_get_attempt(
         transfer->fluid_reply = std::move(reply);
         transfer->flow_ranges = stripe_ranges(
             transfer->attempt_ranges, static_cast<int>(stripes));
-        transfer->flows.assign(stripes, flow::FlowId{});
-        transfer->stream_bytes.assign(stripes, 0);
-        transfer->flows_outstanding = 0;
-        ensure_monitor(transfer);
-
-        flow::FlowEngine* engine = transfer->options.flow_engine;
-        const int attempt = transfer->attempts;
-        for (std::uint32_t i = 0; i < stripes; ++i) {
-          Bytes stripe_bytes = 0;
-          for (const ByteRange& range : transfer->flow_ranges[i]) {
-            stripe_bytes += range.length;
-          }
-          if (stripe_bytes == 0) continue;
-          flow::FlowSpec spec;
-          spec.src = transfer->server;
-          spec.dst = stack_.node().id();
-          spec.bytes = stripe_bytes;
-          spec.window = transfer->options.tcp_buffer;
-          ++transfer->flows_outstanding;
-          transfer->flows[i] = engine->start(
-              spec, [this, alive, transfer, i, attempt](
-                        const flow::FlowDone& done) {
-                if (alive.expired() || transfer->finished ||
-                    transfer->attempts != attempt || !done.ok) {
-                  return;
-                }
-                Bytes stripe_total = 0;
-                for (const ByteRange& range : transfer->flow_ranges[i]) {
-                  transfer->received.add(range.offset, range.length);
-                  transfer->blocks[range.offset] = {range.length,
-                                                    transfer->flow_seeds[i]};
-                  stripe_total += range.length;
-                }
-                transfer->stream_bytes[i] = stripe_total;
-                // Recompute (not +=): the monitor may have already pulled a
-                // partial count for this stripe into payload_bytes.
-                Bytes attempt_sum = 0;
-                for (const Bytes b : transfer->stream_bytes) attempt_sum += b;
-                transfer->payload_bytes = transfer->payload_base + attempt_sum;
-                if (--transfer->flows_outstanding == 0) {
-                  transfer->flows.clear();
-                  finish_get_attempt(transfer, Status::ok(),
-                                     transfer->fluid_reply);
-                }
-              });
-          if (!transfer->flows[i].valid()) {
-            --transfer->flows_outstanding;
-            complete(transfer, make_error(ErrorCode::kUnavailable,
-                                          "no route for fluid flow"));
-            return;
-          }
-        }
-        if (transfer->flows_outstanding == 0) {
-          transfer->flows.clear();
-          finish_get_attempt(transfer, Status::ok(), transfer->fluid_reply);
-        }
+        start_flows(transfer);
       });
 }
 
-void FtpClient::start_fluid_put_attempt(
-    const std::shared_ptr<Transfer>& transfer) {
-  ++transfer->attempts;
-  cancel_flows(transfer);
-  transfer->payload_base = transfer->payload_bytes;
-  std::weak_ptr<bool> alive = alive_;
-
-  const auto parts = partition_range(ByteRange{0, transfer->file_size},
-                                     transfer->options.parallel_streams,
-                                     transfer->file_size);
-  transfer->flow_ranges.assign(parts.size(), {});
-  transfer->flows.assign(parts.size(), flow::FlowId{});
-  transfer->stream_bytes.assign(parts.size(), 0);
+void FtpClient::start_flows(const std::shared_ptr<Transfer>& transfer) {
+  const std::size_t stripes = transfer->flow_ranges.size();
+  transfer->flows.assign(stripes, flow::FlowId{});
+  transfer->stream_bytes.assign(stripes, 0);
   transfer->flows_outstanding = 0;
   ensure_monitor(transfer);
 
+  std::weak_ptr<bool> alive = alive_;
   flow::FlowEngine* engine = transfer->options.flow_engine;
   const int attempt = transfer->attempts;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    transfer->flow_ranges[i] = {parts[i]};
-    transfer->pool->disk().read(parts[i].length, [] {});
+  const net::NodeId self = stack_.node().id();
+  for (std::size_t i = 0; i < stripes; ++i) {
+    Bytes stripe_bytes = 0;
+    for (const ByteRange& range : transfer->flow_ranges[i]) {
+      stripe_bytes += range.length;
+    }
+    if (stripe_bytes == 0) continue;
+    if (transfer->is_put) transfer->pool->disk().read(stripe_bytes, [] {});
     flow::FlowSpec spec;
-    spec.src = stack_.node().id();
-    spec.dst = transfer->server;
-    spec.bytes = parts[i].length;
+    spec.src = transfer->is_put ? self : transfer->server;
+    spec.dst = transfer->is_put ? transfer->server : self;
+    spec.bytes = stripe_bytes;
     spec.window = transfer->options.tcp_buffer;
     ++transfer->flows_outstanding;
     transfer->flows[i] = engine->start(
-        spec,
-        [this, alive, transfer, i, attempt](const flow::FlowDone& done) {
+        spec, [this, alive, transfer, i, attempt,
+               stripe_bytes](const flow::FlowDone& done) {
           if (alive.expired() || transfer->finished ||
               transfer->attempts != attempt || !done.ok) {
             return;
           }
-          transfer->stream_bytes[i] = done.transferred;
-          Bytes attempt_sum = 0;
-          for (const Bytes b : transfer->stream_bytes) attempt_sum += b;
-          transfer->payload_bytes = transfer->payload_base + attempt_sum;
-          if (--transfer->flows_outstanding > 0) return;
-          transfer->flows.clear();
-          // All payload delivered: commit on the server (FPUT charges the
-          // destination disk write and replies with the stored CRC, which
-          // finish_put_attempt verifies as after a STOR).
-          rpc::Writer commit;
-          commit.str(transfer->remote_path);
-          commit.i64(transfer->file_size);
-          commit.u64(transfer->source_seed);
-          transfer->rpc->call(
-              kCmdFluidPut, commit.take(),
-              [this, alive, transfer](Status status,
-                                      std::vector<std::uint8_t> reply) {
-                if (alive.expired() || transfer->finished) return;
-                finish_put_attempt(transfer, std::move(status), reply);
-              });
+          if (!transfer->is_put) {
+            for (const ByteRange& range : transfer->flow_ranges[i]) {
+              transfer->received.add(range.offset, range.length);
+              transfer->blocks[range.offset] = {range.length,
+                                                transfer->flow_seeds[i]};
+            }
+          }
+          transfer->stream_bytes[i] = stripe_bytes;
+          transfer->recount_fluid_payload();
+          if (--transfer->flows_outstanding == 0) finish_flows(transfer);
         });
     if (!transfer->flows[i].valid()) {
       --transfer->flows_outstanding;
@@ -617,10 +550,29 @@ void FtpClient::start_fluid_put_attempt(
       return;
     }
   }
-  if (parts.empty()) {
-    complete(transfer,
-             make_error(ErrorCode::kInvalidArgument, "empty fluid PUT"));
+  if (transfer->flows_outstanding == 0) finish_flows(transfer);
+}
+
+void FtpClient::finish_flows(const std::shared_ptr<Transfer>& transfer) {
+  transfer->flows.clear();
+  if (!transfer->is_put) {
+    finish_get_attempt(transfer, Status::ok(), transfer->fluid_reply);
+    return;
   }
+  // All payload delivered: commit on the server (FPUT charges the
+  // destination disk write and replies with the stored CRC, which
+  // finish_put_attempt verifies as after a STOR).
+  std::weak_ptr<bool> alive = alive_;
+  rpc::Writer commit;
+  commit.str(transfer->remote_path);
+  commit.i64(transfer->file_size);
+  commit.u64(transfer->source_seed);
+  transfer->rpc->call(
+      kCmdFluidPut, commit.take(),
+      [this, alive, transfer](Status status, std::vector<std::uint8_t> reply) {
+        if (alive.expired() || transfer->finished) return;
+        finish_put_attempt(transfer, std::move(status), reply);
+      });
 }
 
 void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
@@ -631,7 +583,6 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
     std::vector<ByteRange> missing;
     for (const ByteRange& range : transfer->requested) {
       auto holes = transfer->received.missing_within(range.offset, range.length);
-      // gdmp-lint: hot-alloc — retry path only; recomputes the hole list after a failure
       missing.insert(missing.end(), holes.begin(), holes.end());
     }
     if (missing.empty()) missing = transfer->requested;
@@ -673,7 +624,6 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
   bool seed_known = false;
   std::set<std::uint64_t> candidates;
   for (const auto& [offset, block] : transfer->blocks) {
-    // gdmp-lint: hot-alloc — checksum recovery path; seed set built once per failed verify
     candidates.insert(block.second);
   }
   for (const std::uint64_t seed : candidates) {
@@ -696,14 +646,12 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
   } else {
     for (const auto& [offset, block] : transfer->blocks) {
       if (block.second != true_seed) {
-        // gdmp-lint: hot-alloc — corruption recovery path; lists ranges to re-request
         bad.push_back(ByteRange{offset, block.first});
       }
     }
     for (const ByteRange& range : transfer->requested) {
       auto holes =
           transfer->received.missing_within(range.offset, range.length);
-      // gdmp-lint: hot-alloc — corruption recovery path; merges holes into the re-request list
       bad.insert(bad.end(), holes.begin(), holes.end());
     }
   }
@@ -771,85 +719,46 @@ void FtpClient::put(net::NodeId server, net::Port control_port,
   transfer->source_seed = file->content_seed;
   transfer->source_crc = file->crc();
   transfer->requested = {ByteRange{0, file->size}};
-  start_put_attempt(transfer);
+  start_attempt(transfer);
 }
 
-void FtpClient::start_put_attempt(const std::shared_ptr<Transfer>& transfer) {
-  if (fluid_selected(transfer->options)) {
-    start_fluid_put_attempt(transfer);
-    return;
-  }
-  ++transfer->attempts;
-  transfer->close_streams();
+void FtpClient::send_stor(const std::shared_ptr<Transfer>& transfer) {
   std::weak_ptr<bool> alive = alive_;
-
-  rpc::Writer sbuf;
-  sbuf.i64(transfer->options.tcp_buffer);
+  // Issue STOR, then stream the blocks.
+  rpc::Writer stor;
+  stor.u64(transfer->token);
+  stor.str(transfer->remote_path);
+  stor.i64(transfer->file_size);
   transfer->rpc->call(
-      "SBUF", sbuf.take(),
-      [this, alive, transfer](Status status, std::vector<std::uint8_t>) {
+      kCmdStore, stor.take(),
+      [this, alive, transfer](Status status, std::vector<std::uint8_t> reply) {
         if (alive.expired() || transfer->finished) return;
-        if (!status.is_ok()) {
-          complete(transfer, status);
-          return;
-        }
-        rpc::Writer pasv;
-        pasv.u32(static_cast<std::uint32_t>(
-            transfer->options.parallel_streams));
-        transfer->rpc->call(
-            kCmdPassive, pasv.take(),
-            [this, alive, transfer](Status pasv_status,
-                                    std::vector<std::uint8_t> reply) {
-              if (alive.expired() || transfer->finished) return;
-              if (!pasv_status.is_ok()) {
-                complete(transfer, pasv_status);
-                return;
-              }
-              rpc::Reader r(reply);
-              transfer->data_port = r.u16();
-              transfer->token = r.u64();
-              open_streams(transfer, [this, alive, transfer] {
-                if (alive.expired() || transfer->finished) return;
-                // Issue STOR, then stream the blocks.
-                rpc::Writer stor;
-                stor.u64(transfer->token);
-                stor.str(transfer->remote_path);
-                stor.i64(transfer->file_size);
-                transfer->rpc->call(
-                    kCmdStore, stor.take(),
-                    [this, alive, transfer](Status stor_status,
-                                            std::vector<std::uint8_t> rep) {
-                      if (alive.expired() || transfer->finished) return;
-                      finish_put_attempt(transfer, std::move(stor_status),
-                                         rep);
-                    });
-                const auto parts = partition_range(
-                    ByteRange{0, transfer->file_size},
-                    transfer->options.parallel_streams, transfer->file_size);
-                for (std::size_t i = 0; i < transfer->streams.size(); ++i) {
-                  auto& conn = transfer->streams[i];
-                  if (i < parts.size()) {
-                    BlockHeader header;
-                    header.offset = parts[i].offset;
-                    header.length = parts[i].length;
-                    header.content_seed = transfer->source_seed;
-                    rpc::Writer w;
-                    header.encode(w);
-                    conn->send(w.take());
-                    conn->send_synthetic(parts[i].length);
-                    transfer->payload_bytes += parts[i].length;
-                    transfer->stream_bytes[i] += parts[i].length;
-                    transfer->pool->disk().read(parts[i].length, [] {});
-                  }
-                  BlockHeader eod;
-                  eod.offset = -1;
-                  rpc::Writer w;
-                  eod.encode(w);
-                  conn->send(w.take());
-                }
-              });
-            });
+        finish_put_attempt(transfer, std::move(status), reply);
       });
+  const auto parts =
+      partition_range(ByteRange{0, transfer->file_size},
+                      transfer->options.parallel_streams, transfer->file_size);
+  for (std::size_t i = 0; i < transfer->streams.size(); ++i) {
+    auto& conn = transfer->streams[i];
+    if (i < parts.size()) {
+      BlockHeader header;
+      header.offset = parts[i].offset;
+      header.length = parts[i].length;
+      header.content_seed = transfer->source_seed;
+      rpc::Writer w;
+      header.encode(w);
+      conn->send(w.take());
+      conn->send_synthetic(parts[i].length);
+      transfer->payload_bytes += parts[i].length;
+      transfer->stream_bytes[i] += parts[i].length;
+      transfer->pool->disk().read(parts[i].length, [] {});
+    }
+    BlockHeader eod;
+    eod.offset = -1;
+    rpc::Writer w;
+    eod.encode(w);
+    conn->send(w.take());
+  }
 }
 
 void FtpClient::finish_put_attempt(const std::shared_ptr<Transfer>& transfer,
@@ -903,31 +812,28 @@ void FtpClient::retry_or_fail(const std::shared_ptr<Transfer>& transfer,
   }
   obs::Tracer::global().attr(transfer->span, "restarts",
                              static_cast<std::int64_t>(transfer->attempts));
-  if (transfer->is_put) {
-    start_put_attempt(transfer);
-    return;
-  }
-  // Purge block records overlapping the ranges being re-fetched so stale
-  // corrupted seeds do not poison the next attempt's majority vote.
-  for (const ByteRange& range : ranges) {
-    auto it = transfer->blocks.begin();
-    while (it != transfer->blocks.end()) {
-      const Bytes block_end = it->first + it->second.first;
-      if (it->first < range.offset + range.length &&
-          range.offset < block_end) {
-        it = transfer->blocks.erase(it);
-      } else {
-        ++it;
+  if (!transfer->is_put) {
+    // Purge block records overlapping the ranges being re-fetched so stale
+    // corrupted seeds do not poison the next attempt's majority vote.
+    for (const ByteRange& range : ranges) {
+      auto it = transfer->blocks.begin();
+      while (it != transfer->blocks.end()) {
+        const Bytes block_end = it->first + it->second.first;
+        if (it->first < range.offset + range.length &&
+            range.offset < block_end) {
+          it = transfer->blocks.erase(it);
+        } else {
+          ++it;
+        }
       }
     }
+    transfer->attempt_ranges = std::move(ranges);
   }
-  transfer->attempt_ranges = std::move(ranges);
-  start_get_attempt(transfer);
+  start_attempt(transfer);
 }
 
-void FtpClient::complete(const std::shared_ptr<Transfer>& transfer,
-                         Result<TransferResult> result) {
-  if (transfer->finished) return;
+void FtpClient::shut_down(const std::shared_ptr<Transfer>& transfer,
+                          std::string_view status) {
   transfer->finished = true;
   if (transfer->monitor) {
     transfer->monitor->stop();
@@ -938,15 +844,19 @@ void FtpClient::complete(const std::shared_ptr<Transfer>& transfer,
   transfer->close_streams();
   cancel_flows(transfer);  // no-op callbacks: finished is already set
   if (transfer->rpc) transfer->rpc->close();
-
   if (transfer->span.valid()) {
     auto& tracer = obs::Tracer::global();
-    tracer.attr(transfer->span, "status",
-                result.is_ok() ? "ok" : result.status().to_string());
+    tracer.attr(transfer->span, "status", status);
     tracer.attr(transfer->span, "attempts",
                 static_cast<std::int64_t>(transfer->attempts));
     tracer.end(transfer->span);
   }
+}
+
+void FtpClient::complete(const std::shared_ptr<Transfer>& transfer,
+                         Result<TransferResult> result) {
+  if (transfer->finished) return;
+  shut_down(transfer, result.is_ok() ? "ok" : result.status().to_string());
   if (transfer->options.channel != nullptr &&
       transfer->options.channel->has_subscribers()) {
     obs::TransferSummary summary;

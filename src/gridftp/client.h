@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -51,13 +52,11 @@ struct TransferOptions {
   std::string peer;
   /// Parent for the "gridftp.transfer" span; invalid = ambient current.
   obs::SpanId parent_span{};
-  /// Transfer-model seam (flow/transfer_model.h): kFluid moves the payload
-  /// as rate-based flows on `flow_engine` instead of per-segment TCP data
-  /// streams. Control-channel RPCs, restart/verification logic and all
-  /// Perf/Restart markers are identical on both paths.
-  flow::TransferModel transfer_model = flow::TransferModel::kPacket;
-  /// Required when transfer_model == kFluid (falls back to the packet path
-  /// when null). Not owned.
+  /// Transfer-model seam (flow/transfer_model.h): when set, the payload
+  /// moves as rate-based flows on this engine instead of per-segment TCP
+  /// data streams; null selects the packet path. Restart/verification
+  /// logic and all Perf/Restart markers are identical on both paths. Not
+  /// owned.
   flow::FlowEngine* flow_engine = nullptr;
 };
 
@@ -131,10 +130,12 @@ class FtpClient {
   ControlRpc make_control_rpc(net::NodeId server, net::Port port,
                               SimDuration timeout);
 
-  void start_get_attempt(const std::shared_ptr<Transfer>& transfer);
-  void start_put_attempt(const std::shared_ptr<Transfer>& transfer);
-  void start_fluid_get_attempt(const std::shared_ptr<Transfer>& transfer);
-  void start_fluid_put_attempt(const std::shared_ptr<Transfer>& transfer);
+  void start_attempt(const std::shared_ptr<Transfer>& transfer);
+  void send_retr(const std::shared_ptr<Transfer>& transfer);
+  void send_stor(const std::shared_ptr<Transfer>& transfer);
+  void send_fget(const std::shared_ptr<Transfer>& transfer);
+  void start_flows(const std::shared_ptr<Transfer>& transfer);
+  void finish_flows(const std::shared_ptr<Transfer>& transfer);
   void open_streams(const std::shared_ptr<Transfer>& transfer,
                     std::function<void()> when_ready);
   void ensure_monitor(const std::shared_ptr<Transfer>& transfer);
@@ -146,6 +147,10 @@ class FtpClient {
                           Status status, std::span<const std::uint8_t> reply);
   void retry_or_fail(const std::shared_ptr<Transfer>& transfer,
                      std::vector<ByteRange> ranges, const Status& cause);
+  /// Stops the monitor, streams, flows and control channel, and ends the
+  /// transfer span with `status`.
+  void shut_down(const std::shared_ptr<Transfer>& transfer,
+                 std::string_view status);
   void complete(const std::shared_ptr<Transfer>& transfer,
                 Result<TransferResult> result);
 

@@ -10,7 +10,55 @@ namespace gdmp::gridftp {
 
 namespace {
 constexpr SimDuration kSessionIdleTimeout = 3600 * kSecond;
+
+/// Decodes the {count, (offset, length)...} range list of RETR and FGET.
+std::vector<ByteRange> read_ranges(rpc::Reader& r) {
+  const std::uint32_t n_ranges = r.u32();
+  std::vector<ByteRange> ranges;
+  ranges.reserve(std::min<std::uint32_t>(n_ranges, 4096));
+  for (std::uint32_t i = 0; i < n_ranges && r.ok(); ++i) {
+    ByteRange range;
+    range.offset = r.i64();
+    range.length = r.i64();
+    ranges.push_back(range);
+  }
+  return ranges;
 }
+
+/// What a RETR or FGET serves: the source content seed, and the length and
+/// CRC summed over the requested ranges.
+struct SourceRead {
+  std::uint64_t seed = 0;
+  Bytes total = 0;
+  std::uint32_t crc = 0;
+};
+
+/// Resolves and validates `ranges` in place against the current size of
+/// `path` (RETR and FGET alike).
+Result<SourceRead> resolve_read(storage::DiskPool& pool,
+                                const std::string& path,
+                                std::vector<ByteRange>& ranges) {
+  auto file = pool.lookup(path);
+  if (!file.is_ok()) {
+    return make_error(ErrorCode::kNotFound, "file not on disk: " + path);
+  }
+  SourceRead read;
+  read.seed = file->content_seed;
+  Crc32 crc;
+  for (ByteRange& range : ranges) {
+    if (range.length < 0) range.length = file->size - range.offset;
+    if (range.offset < 0 || range.length < 0 ||
+        range.offset + range.length > file->size) {
+      return make_error(ErrorCode::kInvalidArgument, "range out of bounds");
+    }
+    read.total += range.length;
+    crc.update_synthetic(file->content_seed, range.offset, range.length);
+  }
+  read.crc = crc.value();
+  return read;
+}
+
+}  // namespace
 
 struct FtpServer::DataStream {
   net::TcpConnection::Ptr conn;
@@ -59,6 +107,27 @@ struct FtpServer::DataSession {
   bool recv_seed_set = false;
   bool seed_conflict = false;
   int eod_count = 0;
+
+  /// Breaks the callback cycles of the streams (their parser/conn closures
+  /// capture the session and stream shared_ptrs) and drops them.
+  void drop_streams() {
+    for (auto& stream : streams) {
+      if (!stream) continue;
+      stream->parser.on_payload = nullptr;
+      stream->parser.on_block_begin = nullptr;
+      stream->parser.on_block_end = nullptr;
+      stream->parser.on_eod = nullptr;
+      stream->parser.on_error = nullptr;
+      if (stream->conn) {
+        stream->conn->on_data = nullptr;
+        stream->conn->on_synthetic_data = nullptr;
+        stream->conn->on_closed = nullptr;
+        stream->conn->on_send_drained = nullptr;
+        stream->conn.reset();
+      }
+    }
+    streams.clear();
+  }
 };
 
 FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
@@ -77,106 +146,31 @@ FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
   // destroyed, and handlers can fire from frames already queued in the
   // simulator during that window. Guard them all with the liveness sentinel.
   std::weak_ptr<bool> alive = alive_;
-  rpc_.register_method(
-      kCmdSetBuffer,
-      [this, alive](const security::GsiContext&, std::uint64_t sid,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_sbuf(sid, p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdPassive,
-      [this, alive](const security::GsiContext&, std::uint64_t sid,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_pasv(sid, p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdRetrieve,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_retr(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdStore,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_stor(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdSize, [this, alive](const security::GsiContext&, std::uint64_t,
-                              std::span<const std::uint8_t> p,
-                              rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_size(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdChecksum, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p,
-                                  rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_cksm(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdDelete, [this, alive](const security::GsiContext&, std::uint64_t,
-                                std::span<const std::uint8_t> p,
-                                rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_dele(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdTransferTo, [this, alive](const security::GsiContext&, std::uint64_t,
-                                    std::span<const std::uint8_t> p,
-                                    rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_xfer(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdFluidGet, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p,
-                                  rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_fget(p, std::move(r));
-      });
-  rpc_.register_method(
-      kCmdFluidPut, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p,
-                                  rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_fput(p, std::move(r));
-      });
+  const std::pair<const char*, Handler> methods[] = {
+      {kCmdSetBuffer, &FtpServer::handle_sbuf},
+      {kCmdPassive, &FtpServer::handle_pasv},
+      {kCmdRetrieve, &FtpServer::handle_retr},
+      {kCmdStore, &FtpServer::handle_stor},
+      {kCmdSize, &FtpServer::handle_size},
+      {kCmdChecksum, &FtpServer::handle_cksm},
+      {kCmdDelete, &FtpServer::handle_dele},
+      {kCmdTransferTo, &FtpServer::handle_xfer},
+      {kCmdFluidGet, &FtpServer::handle_fget},
+      {kCmdFluidPut, &FtpServer::handle_fput},
+  };
+  for (const auto& [method, handler] : methods) {
+    rpc_.register_method(
+        method, [this, alive, handler = handler](
+                    const security::GsiContext&, std::uint64_t sid,
+                    std::span<const std::uint8_t> p,
+                    rpc::RpcServer::Respond r) {
+          if (alive.expired()) {
+            r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
+            return;
+          }
+          (this->*handler)(sid, p, std::move(r));
+        });
+  }
 }
 
 FtpServer::~FtpServer() {
@@ -185,24 +179,7 @@ FtpServer::~FtpServer() {
   for (auto& [token, session] : sessions_) {
     stack_.close_listener(session->data_port);
     stack_.simulator().cancel(session->idle_timer);
-    // Break the callback cycles of sessions still open at teardown (their
-    // parser/conn closures capture the session and stream shared_ptrs).
-    for (auto& stream : session->streams) {
-      if (!stream) continue;
-      stream->parser.on_payload = nullptr;
-      stream->parser.on_block_begin = nullptr;
-      stream->parser.on_block_end = nullptr;
-      stream->parser.on_eod = nullptr;
-      stream->parser.on_error = nullptr;
-      if (stream->conn) {
-        stream->conn->on_data = nullptr;
-        stream->conn->on_synthetic_data = nullptr;
-        stream->conn->on_closed = nullptr;
-        stream->conn->on_send_drained = nullptr;
-        stream->conn.reset();
-      }
-    }
-    session->streams.clear();
+    session->drop_streams();  // sessions still open at teardown
   }
 }
 
@@ -221,7 +198,6 @@ void FtpServer::handle_sbuf(std::uint64_t session_id,
             {});
     return;
   }
-  // gdmp-lint: hot-alloc — per-session control state created on first SBUF, reused after
   control_state_[session_id].data_buffer = buffer;
   respond(Status::ok(), {});
 }
@@ -237,7 +213,6 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
             {});
     return;
   }
-  // gdmp-lint: hot-alloc — one session object per PASV negotiation (control plane)
   auto session = std::make_shared<DataSession>();
   session->token = next_token_++;
   session->data_port = stack_.allocate_port();
@@ -272,7 +247,6 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
                                      "data session idle timeout"));
         }
       });
-  // gdmp-lint: hot-alloc — session table keyed by token; one insert per negotiation
   sessions_.emplace(session->token, session);
 
   rpc::Writer w;
@@ -284,7 +258,6 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
 void FtpServer::on_data_connection(const std::shared_ptr<DataSession>& session,
                                    net::TcpConnection::Ptr conn) {
   // The stream is anonymous until its hello arrives.
-  // gdmp-lint: hot-alloc — per-connection hello buffer, dropped once attached
   auto pending = std::make_shared<std::vector<std::uint8_t>>();
   std::weak_ptr<bool> alive = alive_;
   auto raw = conn.get();
@@ -296,7 +269,6 @@ void FtpServer::on_data_connection(const std::shared_ptr<DataSession>& session,
     if (alive.expired()) return;
     auto conn = weak_conn.lock();
     if (!conn) return;
-    // gdmp-lint: hot-alloc — buffers at most one DataHello (fixed wire size) per stream
     pending->insert(pending->end(), data.begin(), data.end());
     if (pending->size() < DataHello::kWireSize) return;
     const auto hello = DataHello::decode(*pending);
@@ -330,7 +302,6 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
     conn->abort();  // duplicate stream index
     return;
   }
-  // gdmp-lint: hot-alloc — one stream record per attached data connection
   auto stream = std::make_shared<DataStream>();
   stream->conn = conn;
   stream->attached = true;
@@ -398,20 +369,12 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
   check_stor_complete(session);
 }
 
-void FtpServer::handle_retr(std::span<const std::uint8_t> params,
+void FtpServer::handle_retr(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::uint64_t token = r.u64();
   const std::string path = r.str();
-  const std::uint32_t n_ranges = r.u32();
-  std::vector<ByteRange> ranges;
-  ranges.reserve(std::min<std::uint32_t>(n_ranges, 4096));
-  for (std::uint32_t i = 0; i < n_ranges && r.ok(); ++i) {
-    ByteRange range;
-    range.offset = r.i64();
-    range.length = r.i64();
-    ranges.push_back(range);
-  }
+  std::vector<ByteRange> ranges = read_ranges(r);
   if (!r.ok() || ranges.empty()) {
     respond(make_error(ErrorCode::kInvalidArgument, "malformed RETR"), {});
     return;
@@ -428,25 +391,10 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
             {});
     return;
   }
-  auto file = pool_.lookup(path);
-  if (!file.is_ok()) {
-    respond(make_error(ErrorCode::kNotFound, "file not on disk: " + path),
-            {});
+  const auto read = resolve_read(pool_, path, ranges);
+  if (!read.is_ok()) {
+    respond(read.status(), {});
     return;
-  }
-  // Resolve and validate ranges against the current file size.
-  Bytes total = 0;
-  Crc32 crc;
-  for (ByteRange& range : ranges) {
-    if (range.length < 0) range.length = file->size - range.offset;
-    if (range.offset < 0 || range.length < 0 ||
-        range.offset + range.length > file->size) {
-      respond(make_error(ErrorCode::kInvalidArgument, "range out of bounds"),
-              {});
-      return;
-    }
-    total += range.length;
-    crc.update_synthetic(file->content_seed, range.offset, range.length);
   }
   (void)pool_.pin(path);  // transfers must not lose their source to eviction
   session->mode = DataSession::Mode::kRetr;
@@ -454,9 +402,9 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
   session->retr.started = false;
   session->retr.path = path;
   session->retr.ranges = std::move(ranges);
-  session->retr.seed = file->content_seed;
-  session->retr.total = total;
-  session->retr.crc = crc.value();
+  session->retr.seed = read->seed;
+  session->retr.total = read->total;
+  session->retr.crc = read->crc;
   session->retr.respond = std::move(respond);
   session->retr.drained = 0;
   for (auto& stream : session->streams) {
@@ -485,13 +433,7 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
       BlockHeader header;
       header.offset = range.offset;
       header.length = range.length;
-      header.content_seed = session->retr.seed;
-      if (config_.corrupt_probability > 0 &&
-          fault_rng_.chance(config_.corrupt_probability)) {
-        header.content_seed ^= 0xbadc0ffee0ddf00dULL;
-        ++stats_.blocks_corrupted;
-        if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
-      }
+      header.content_seed = served_seed(session->retr.seed);
       rpc::Writer w;
       header.encode(w);
       stream->conn->send(w.take());
@@ -500,18 +442,8 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
       stats_.bytes_sent += range.length;
       if (metrics_.bytes_sent) metrics_.bytes_sent->add(range.length);
     }
-    // Server-side perf marker: bytes queued for this stripe (the wire
-    // marker a monitoring client would receive over the control channel).
-    if (channel_ != nullptr && channel_->has_subscribers()) {
-      obs::PerfMarker marker;
-      marker.time = stack_.simulator().now();
-      marker.path = session->retr.path;
-      marker.bytes = stream_bytes;
-      marker.stripe = static_cast<std::uint32_t>(i);
-      marker.stripe_count =
-          static_cast<std::uint32_t>(session->streams.size());
-      channel_->perf(marker);
-    }
+    // Server-side perf marker: bytes queued for this stripe.
+    emit_perf(session->retr.path, stream_bytes, i, session->streams.size());
     // End-of-data marker.
     BlockHeader eod;
     eod.offset = -1;
@@ -547,7 +479,7 @@ void FtpServer::finish_retr_stream(
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_stor(std::span<const std::uint8_t> params,
+void FtpServer::handle_stor(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::uint64_t token = r.u64();
@@ -604,20 +536,11 @@ void FtpServer::check_stor_complete(
             {});
     return;
   }
-  auto added =
-      pool_.add_file(session->stor.path, session->stor.total,
-                     session->recv_seed, stack_.simulator().now());
-  if (!added.is_ok()) {
-    respond(added.status(), {});
-    return;
-  }
-  pool_.disk().write(session->stor.total, [] {});
-  rpc::Writer w;
-  w.u32(crc32_synthetic(session->recv_seed, 0, session->stor.total));
-  respond(Status::ok(), w.take());
+  commit_file(session->stor.path, session->stor.total, session->recv_seed,
+              std::move(respond));
 }
 
-void FtpServer::handle_size(std::span<const std::uint8_t> params,
+void FtpServer::handle_size(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
@@ -631,7 +554,7 @@ void FtpServer::handle_size(std::span<const std::uint8_t> params,
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_cksm(std::span<const std::uint8_t> params,
+void FtpServer::handle_cksm(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
@@ -645,14 +568,14 @@ void FtpServer::handle_cksm(std::span<const std::uint8_t> params,
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_dele(std::span<const std::uint8_t> params,
+void FtpServer::handle_dele(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
   respond(pool_.remove(path), {});
 }
 
-void FtpServer::handle_xfer(std::span<const std::uint8_t> params,
+void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
@@ -669,12 +592,10 @@ void FtpServer::handle_xfer(std::span<const std::uint8_t> params,
   if (metrics_.third_party) metrics_.third_party->add();
   // Third-party control: this server acts as the sending party of a
   // server-to-server transfer that the remote client orchestrates.
-  // gdmp-lint: hot-alloc — one outbound client per third-party transfer request
   auto client = std::make_shared<FtpClient>(stack_, ca_, credential_);
   TransferOptions options;
   options.parallel_streams = streams;
   options.tcp_buffer = buffer;
-  options.transfer_model = config_.transfer_model;
   options.flow_engine = config_.flow_engine;
   client->put(dest_node, dest_port, pool_, path, dest_path, options,
               [client, respond = std::move(respond)](
@@ -690,20 +611,12 @@ void FtpServer::handle_xfer(std::span<const std::uint8_t> params,
               });
 }
 
-void FtpServer::handle_fget(std::span<const std::uint8_t> params,
+void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
   int streams = static_cast<int>(r.u32());
-  const std::uint32_t n_ranges = r.u32();
-  std::vector<ByteRange> ranges;
-  ranges.reserve(std::min<std::uint32_t>(n_ranges, 4096));
-  for (std::uint32_t i = 0; i < n_ranges && r.ok(); ++i) {
-    ByteRange range;
-    range.offset = r.i64();
-    range.length = r.i64();
-    ranges.push_back(range);
-  }
+  std::vector<ByteRange> ranges = read_ranges(r);
   if (!r.ok() || ranges.empty()) {
     respond(make_error(ErrorCode::kInvalidArgument, "malformed FGET"), {});
     return;
@@ -712,26 +625,12 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
   if (streams > config_.max_parallel_streams) {
     streams = config_.max_parallel_streams;
   }
-  auto file = pool_.lookup(path);
-  if (!file.is_ok()) {
-    respond(make_error(ErrorCode::kNotFound, "file not on disk: " + path),
-            {});
+  const auto read = resolve_read(pool_, path, ranges);
+  if (!read.is_ok()) {
+    respond(read.status(), {});
     return;
   }
-  // Same range resolution/validation as RETR against the current size.
-  Bytes total = 0;
-  Crc32 crc;
-  for (ByteRange& range : ranges) {
-    if (range.length < 0) range.length = file->size - range.offset;
-    if (range.offset < 0 || range.length < 0 ||
-        range.offset + range.length > file->size) {
-      respond(make_error(ErrorCode::kInvalidArgument, "range out of bounds"),
-              {});
-      return;
-    }
-    total += range.length;
-    crc.update_synthetic(file->content_seed, range.offset, range.length);
-  }
+  const Bytes total = read->total;
   ++stats_.retrievals;
   if (metrics_.retrievals) metrics_.retrievals->add();
   stats_.bytes_sent += total;
@@ -745,35 +644,19 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
   const auto per_stream = stripe_ranges(ranges, streams);
   rpc::Writer w;
   w.i64(total);
-  w.u32(crc.value());
+  w.u32(read->crc);
   w.u32(static_cast<std::uint32_t>(per_stream.size()));
   for (std::size_t i = 0; i < per_stream.size(); ++i) {
     Bytes stripe_bytes = 0;
     for (const ByteRange& range : per_stream[i]) stripe_bytes += range.length;
-    std::uint64_t seed = file->content_seed;
-    if (stripe_bytes > 0 && config_.corrupt_probability > 0 &&
-        fault_rng_.chance(config_.corrupt_probability)) {
-      seed ^= 0xbadc0ffee0ddf00dULL;
-      ++stats_.blocks_corrupted;
-      if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
-    }
-    w.u64(seed);
+    w.u64(stripe_bytes > 0 ? served_seed(read->seed) : read->seed);
     // Server-side perf marker: bytes committed to this stripe's flow.
-    if (stripe_bytes > 0 && channel_ != nullptr &&
-        channel_->has_subscribers()) {
-      obs::PerfMarker marker;
-      marker.time = stack_.simulator().now();
-      marker.path = path;
-      marker.bytes = stripe_bytes;
-      marker.stripe = static_cast<std::uint32_t>(i);
-      marker.stripe_count = static_cast<std::uint32_t>(per_stream.size());
-      channel_->perf(marker);
-    }
+    if (stripe_bytes > 0) emit_perf(path, stripe_bytes, i, per_stream.size());
   }
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_fput(std::span<const std::uint8_t> params,
+void FtpServer::handle_fput(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
@@ -794,14 +677,42 @@ void FtpServer::handle_fput(std::span<const std::uint8_t> params,
   if (metrics_.stores) metrics_.stores->add();
   stats_.bytes_received += total;
   if (metrics_.bytes_received) metrics_.bytes_received->add(total);
-  auto added = pool_.add_file(path, total, seed, stack_.simulator().now());
+  commit_file(path, total, seed, std::move(respond));
+}
+
+std::uint64_t FtpServer::served_seed(std::uint64_t seed) {
+  if (config_.corrupt_probability > 0 &&
+      fault_rng_.chance(config_.corrupt_probability)) {
+    ++stats_.blocks_corrupted;
+    if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
+    return seed ^ 0xbadc0ffee0ddf00dULL;
+  }
+  return seed;
+}
+
+void FtpServer::emit_perf(const std::string& path, Bytes bytes,
+                          std::size_t stripe, std::size_t stripe_count) {
+  if (channel_ == nullptr || !channel_->has_subscribers()) return;
+  obs::PerfMarker marker;
+  marker.time = stack_.simulator().now();
+  marker.path = path;
+  marker.bytes = bytes;
+  marker.stripe = static_cast<std::uint32_t>(stripe);
+  marker.stripe_count = static_cast<std::uint32_t>(stripe_count);
+  channel_->perf(marker);
+}
+
+void FtpServer::commit_file(const std::string& path, Bytes size,
+                            std::uint64_t seed,
+                            rpc::RpcServer::Respond respond) {
+  auto added = pool_.add_file(path, size, seed, stack_.simulator().now());
   if (!added.is_ok()) {
     respond(added.status(), {});
     return;
   }
-  pool_.disk().write(total, [] {});
+  pool_.disk().write(size, [] {});
   rpc::Writer w;
-  w.u32(crc32_synthetic(seed, 0, total));
+  w.u32(crc32_synthetic(seed, 0, size));
   respond(Status::ok(), w.take());
 }
 
@@ -847,24 +758,7 @@ void FtpServer::destroy_session(const std::shared_ptr<DataSession>& session) {
   // whole session web). One of those closures may be the frame we are
   // currently executing in, so break the cycle from a fresh event instead
   // of clearing the callbacks inline.
-  stack_.simulator().schedule(0, [session] {
-    for (auto& stream : session->streams) {
-      if (!stream) continue;
-      stream->parser.on_payload = nullptr;
-      stream->parser.on_block_begin = nullptr;
-      stream->parser.on_block_end = nullptr;
-      stream->parser.on_eod = nullptr;
-      stream->parser.on_error = nullptr;
-      if (stream->conn) {
-        stream->conn->on_data = nullptr;
-        stream->conn->on_synthetic_data = nullptr;
-        stream->conn->on_closed = nullptr;
-        stream->conn->on_send_drained = nullptr;
-        stream->conn.reset();
-      }
-    }
-    session->streams.clear();
-  });
+  stack_.simulator().schedule(0, [session] { session->drop_streams(); });
 }
 
 void FtpServer::set_metrics(const obs::MetricsScope& scope) {

@@ -36,10 +36,10 @@ struct FtpServerConfig {
   double corrupt_probability = 0.0;
   std::uint64_t fault_seed = 0x5eedf00d;
   /// Transfer model for transfers this server *originates* (the sending
-  /// side of third-party XFER). Inbound FGET/FPUT are always served when a
-  /// client selects the fluid path.
-  flow::TransferModel transfer_model = flow::TransferModel::kPacket;
-  flow::FlowEngine* flow_engine = nullptr;  ///< not owned
+  /// side of third-party XFER): set, they move as flows on this engine;
+  /// null selects the packet path. Inbound FGET/FPUT are always served
+  /// when a client selects the fluid path. Not owned.
+  flow::FlowEngine* flow_engine = nullptr;
 };
 
 struct FtpServerStats {
@@ -95,27 +95,43 @@ class FtpServer {
     Bytes data_buffer;
   };
 
+  /// Every control-channel command handler: (session id, params, reply).
+  using Handler = void (FtpServer::*)(std::uint64_t,
+                                      std::span<const std::uint8_t>,
+                                      rpc::RpcServer::Respond);
   void handle_sbuf(std::uint64_t session_id,
                    std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
   void handle_pasv(std::uint64_t session_id,
                    std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_retr(std::span<const std::uint8_t> params,
+  void handle_retr(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_stor(std::span<const std::uint8_t> params,
+  void handle_stor(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_size(std::span<const std::uint8_t> params,
+  void handle_size(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_cksm(std::span<const std::uint8_t> params,
+  void handle_cksm(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_dele(std::span<const std::uint8_t> params,
+  void handle_dele(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_xfer(std::span<const std::uint8_t> params,
+  void handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_fget(std::span<const std::uint8_t> params,
+  void handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_fput(std::span<const std::uint8_t> params,
+  void handle_fput(std::uint64_t, std::span<const std::uint8_t> params,
+                   rpc::RpcServer::Respond respond);
+
+  /// The content seed a served RETR block or FGET stripe carries: with
+  /// corrupt_probability, poisoned (one fault_rng_ draw per call).
+  std::uint64_t served_seed(std::uint64_t seed);
+  /// Server-side perf marker for one stripe: the wire marker a monitoring
+  /// client would receive over the control channel (no-op without
+  /// subscribers).
+  void emit_perf(const std::string& path, Bytes bytes, std::size_t stripe,
+                 std::size_t stripe_count);
+  /// Materialises a fully received STOR/FPUT file and replies with its CRC.
+  void commit_file(const std::string& path, Bytes size, std::uint64_t seed,
                    rpc::RpcServer::Respond respond);
 
   void on_data_connection(const std::shared_ptr<DataSession>& session,

@@ -71,7 +71,6 @@ void TcpConnection::send_synthetic(Bytes n) {
       return;
     }
   }
-  // gdmp-lint: hot-alloc — synthetic chunks carry no payload; one node per app write
   chunks_.emplace(stream_length_, Chunk{nullptr, n});
   stream_length_ += n;
   stats_.bytes_queued += n;
@@ -754,7 +753,6 @@ Status TcpStack::listen(Port port, const TcpConfig& config,
     return make_error(ErrorCode::kAlreadyExists,
                       "port already listening: " + std::to_string(port));
   }
-  // gdmp-lint: hot-alloc — listener table is set up once per service port
   listeners_.emplace(port, Listener{config, std::move(handler)});
   return Status::ok();
 }

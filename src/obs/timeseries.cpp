@@ -141,36 +141,6 @@ void TimeSeriesStore::apply_hist(HistSeries& series, std::int64_t count,
   series.window.push(bucket_scratch_, count_delta, sum_delta);
 }
 
-void TimeSeriesStore::update(const MetricsSnapshot& snapshot) {
-  for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
-    switch (entry.kind) {
-      case MetricKind::kCounter: {
-        auto it = counters_.find(entry.name);
-        if (it == counters_.end()) {
-          it = counters_
-                   .emplace(entry.name, CounterSeries(window_ticks_))
-                   .first;
-        }
-        apply_counter(it->second, entry.counter);
-        break;
-      }
-      case MetricKind::kGauge:
-        apply_gauge(gauges_[entry.name], entry.gauge);
-        break;
-      case MetricKind::kHistogram: {
-        auto it = hists_.find(entry.name);
-        if (it == hists_.end()) {
-          it = hists_.emplace(entry.name, HistSeries(window_ticks_)).first;
-        }
-        apply_hist(it->second, entry.count, entry.sum, entry.min, entry.max,
-                   entry.bounds, entry.bucket_counts);
-        break;
-      }
-    }
-  }
-  ++ticks_;
-}
-
 void TimeSeriesStore::add_registry(const MetricsRegistry* registry) {
   Source source;
   source.registry = registry;

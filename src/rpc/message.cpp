@@ -26,7 +26,6 @@ std::vector<std::uint8_t> encode_frame(const RpcMessage& message) {
 
 Status FrameDecoder::feed(std::span<const std::uint8_t> data,
                           const std::function<void(RpcMessage)>& sink) {
-  // gdmp-lint: hot-alloc — decode buffer grows geometrically, bounded by kMaxFrame
   buffer_.insert(buffer_.end(), data.begin(), data.end());
   // Extract every complete frame before dispatching any of them: a sink
   // callback may destroy this decoder's owner (completing a call can drop
@@ -57,7 +56,6 @@ Status FrameDecoder::feed(std::span<const std::uint8_t> data,
       break;
     }
     cursor += 4 + length;
-    // gdmp-lint: hot-alloc — transient list of frames completed by one chunk (usually 1)
     ready.push_back(std::move(message));
   }
   buffer_.erase(buffer_.begin(),

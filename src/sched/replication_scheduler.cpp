@@ -233,6 +233,7 @@ void ReplicationScheduler::dispatch(Request& request) {
     const auto it = requests_.find(id);
     if (it != requests_.end()) it->second.busy_bounced = true;
     ++stats_.busy_deferrals;
+    if (metrics_.busy_deferrals) metrics_.busy_deferrals->add();
     return make_error(ErrorCode::kResourceExhausted,
                       "every source site at its in-flight cap");
   };

@@ -23,9 +23,7 @@ core::SiteServices make_services(Site& owner, const std::string& name,
 // config that carries TransferOptions, so one SiteConfig field switches
 // GDMP replication and third-party XFER together.
 SiteConfig normalize(SiteConfig config) {
-  config.gdmp.transfer.transfer_model = config.transfer_model;
   config.gdmp.transfer.flow_engine = config.flow_engine;
-  config.ftp.transfer_model = config.transfer_model;
   config.ftp.flow_engine = config.flow_engine;
   return config;
 }

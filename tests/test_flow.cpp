@@ -368,7 +368,6 @@ struct FluidFtpFixture {
     disk_b = std::make_unique<storage::Disk>(simulator, disk_config);
     pool_a = std::make_unique<storage::DiskPool>(100 * kGiB, *disk_a);
     pool_b = std::make_unique<storage::DiskPool>(100 * kGiB, *disk_b);
-    server_config.transfer_model = TransferModel::kFluid;
     server_config.flow_engine = engine.get();
     server = std::make_unique<gridftp::FtpServer>(
         *stack_a, *pool_a, ca, ca.issue("/CN=src", kYear), server_config);
@@ -380,7 +379,6 @@ struct FluidFtpFixture {
   gridftp::TransferOptions fluid_options(int streams = 1) {
     gridftp::TransferOptions options;
     options.parallel_streams = streams;
-    options.transfer_model = TransferModel::kFluid;
     options.flow_engine = engine.get();
     return options;
   }
@@ -540,11 +538,42 @@ TEST(FluidFtp, EmitsPerfAndRestartMarkers) {
   EXPECT_TRUE(summary_ok);
 }
 
+TEST(FluidFtp, ThirdPartyPushRunsOnServerEngine) {
+  FluidFtpFixture f;
+  (void)f.pool_a->add_file("/pool/f", 3 * kMiB, 0x3a3a, 0);
+  gridftp::FtpServer dest(*f.stack_b, *f.pool_b, f.ca,
+                          f.ca.issue("/CN=dst-gridftp", kYear));
+  ASSERT_TRUE(dest.start().is_ok());
+  // The orchestrating client carries no engine: the source server's
+  // FtpServerConfig::flow_engine alone moves the pushed payload.
+  gridftp::TransferOptions options;
+  options.parallel_streams = 2;
+  bool done = false;
+  f.client->third_party(f.path.host_a->id(), gridftp::kControlPort,
+                        "/pool/f", f.path.host_b->id(), gridftp::kControlPort,
+                        "/pool/copy", options,
+                        [&](Result<gridftp::TransferResult> result) {
+                          done = true;
+                          ASSERT_TRUE(result.is_ok())
+                              << result.status().to_string();
+                          EXPECT_EQ(result->bytes, 3 * kMiB);
+                          EXPECT_EQ(result->crc,
+                                    crc32_synthetic(0x3a3a, 0, 3 * kMiB));
+                        });
+  f.simulator.run_until(300 * kSecond);
+  ASSERT_TRUE(done);
+  EXPECT_GT(f.engine->stats().flows_started, 0);
+  auto copy = f.pool_b->peek("/pool/copy");
+  ASSERT_TRUE(copy.is_ok());
+  EXPECT_EQ(copy->crc(), crc32_synthetic(0x3a3a, 0, 3 * kMiB));
+  EXPECT_EQ(f.engine->active_flows(), 0u);
+}
+
 TEST(FluidFtp, FallsBackToPacketWithoutEngine) {
   FluidFtpFixture f;
   (void)f.pool_a->add_file("/pool/f", 1 * kMiB, 9, 0);
   auto options = f.fluid_options(1);
-  options.flow_engine = nullptr;  // fluid requested but no engine: packet
+  options.flow_engine = nullptr;  // a null engine selects the packet path
   bool done = false;
   f.client->get(f.path.host_a->id(), gridftp::kControlPort, "/pool/f",
                 "/pool/f", f.pool_b.get(), options,

@@ -275,6 +275,32 @@ TEST(ReplicationScheduler, PriorityOrdersDispatch) {
   EXPECT_EQ(completion_order[3], lfns[2]);
 }
 
+TEST(ReplicationScheduler, BusyBounceCountsInStatsAndRegistry) {
+  GridConfig config = two_site_config();
+  config.sites[1].site.sched.max_concurrent = 3;
+  config.sites[1].site.sched.max_per_source = 1;
+  SchedTwoSiteFixture f(config);
+  const auto lfns = f.seed(3);
+
+  bool done = false;
+  f.consumer().scheduler().submit_batch(lfns, 0, [&](Status status, Bytes) {
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    done = true;
+  });
+  f.run_while(1200 * kSecond, [&] { return done; });
+  ASSERT_TRUE(done);
+  // Three free slots but one source capped at one in flight: dispatches
+  // bounce, and the registry mirror moves with stats().
+  const std::int64_t bounced =
+      f.consumer().scheduler().stats().busy_deferrals;
+  EXPECT_GT(bounced, 0);
+  EXPECT_EQ(f.consumer()
+                .metrics()
+                .counter("site.anl.sched.busy_deferrals")
+                .value(),
+            bounced);
+}
+
 TEST(ReplicationScheduler, RetriesWithBackoffThenSucceeds) {
   GridConfig config = two_site_config();
   // Every block corrupted at the producer; the FTP client itself gets no

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "counting_callback.h"
+#include "flow/flow_engine.h"
 #include "gridftp/client.h"
 #include "gridftp/server.h"
 #include "net/topology.h"
@@ -151,16 +152,18 @@ struct FtpRig {
   net::Network network{simulator};
   net::WanPath path;
   std::unique_ptr<net::TcpStack> stack_a, stack_b;
+  std::unique_ptr<flow::FlowEngine> engine;  // null: packet model
   security::CertificateAuthority ca{"TestCA"};
   storage::Disk disk_a{simulator, {}}, disk_b{simulator, {}};
   storage::DiskPool pool_a{100 * kGiB, disk_a}, pool_b{100 * kGiB, disk_b};
   std::unique_ptr<gridftp::FtpServer> server;
   std::unique_ptr<gridftp::FtpClient> client;
 
-  FtpRig() {
+  explicit FtpRig(bool fluid = false) {
     path = net::make_wan_path(network, "src", "dst");
     stack_a = std::make_unique<net::TcpStack>(simulator, *path.host_a);
     stack_b = std::make_unique<net::TcpStack>(simulator, *path.host_b);
+    if (fluid) engine = std::make_unique<flow::FlowEngine>(simulator, network);
     server = std::make_unique<gridftp::FtpServer>(
         *stack_a, pool_a, ca, ca.issue("/CN=src", kYear));
     client = std::make_unique<gridftp::FtpClient>(*stack_b, ca,
@@ -173,20 +176,32 @@ TEST(Teardown, FtpClientDestroyedMidTransferAbortsOnce) {
   // Regression for a bug the obligation pass surfaced: in-flight Transfer
   // objects were reachable only through simulator closures whose alive_
   // guards silently dropped them once the client died — the caller's done
-  // callback never fired.
-  FtpRig rig;
-  (void)rig.pool_a.add_file("/pool/f", 32 * kMiB, 0x1234, 0);
-  CountingCallback done;
-  rig.client->get(rig.path.host_a->id(), gridftp::kControlPort, "/pool/f",
-                  "/pool/f", &rig.pool_b, {},
-                  done.wrap<Result<gridftp::TransferResult>>());
-  rig.simulator.run_until(rig.simulator.now() + 2 * kSecond);
-  EXPECT_EQ(done.count(), 0);  // 32 MiB over a WAN: still streaming
-  rig.client.reset();
-  EXPECT_TRUE(done.exactly_once());
-  EXPECT_EQ(done.last_code(), ErrorCode::kAborted);
-  rig.simulator.run_until(rig.simulator.now() + 3600 * kSecond);
-  EXPECT_TRUE(done.exactly_once());
+  // callback never fired. Run on both data planes: TCP streams, and flows
+  // on a FlowEngine.
+  for (const bool fluid : {false, true}) {
+    SCOPED_TRACE(fluid ? "fluid" : "packet");
+    FtpRig rig(fluid);
+    (void)rig.pool_a.add_file("/pool/f", 32 * kMiB, 0x1234, 0);
+    gridftp::TransferOptions options;
+    options.flow_engine = rig.engine.get();
+    CountingCallback done;
+    rig.client->get(rig.path.host_a->id(), gridftp::kControlPort, "/pool/f",
+                    "/pool/f", &rig.pool_b, options,
+                    done.wrap<Result<gridftp::TransferResult>>());
+    rig.simulator.run_until(rig.simulator.now() + 2 * kSecond);
+    EXPECT_EQ(done.count(), 0);  // 32 MiB over a WAN: still streaming
+    if (fluid) {
+      EXPECT_GT(rig.engine->active_flows(), 0u);
+    }
+    rig.client.reset();
+    EXPECT_TRUE(done.exactly_once());
+    EXPECT_EQ(done.last_code(), ErrorCode::kAborted);
+    if (fluid) {
+      EXPECT_EQ(rig.engine->active_flows(), 0u);
+    }
+    rig.simulator.run_until(rig.simulator.now() + 3600 * kSecond);
+    EXPECT_TRUE(done.exactly_once());
+  }
 }
 
 TEST(Teardown, FtpClientThirdPartyDestroyedAbortsOnce) {
