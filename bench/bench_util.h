@@ -15,10 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "flow/cross_traffic.h"
 #include "flow/flow_engine.h"
 #include "gridftp/client.h"
 #include "gridftp/server.h"
-#include "net/cross_traffic.h"
 #include "net/topology.h"
 #include "storage/disk.h"
 #include "storage/disk_pool.h"
@@ -173,31 +173,13 @@ inline TransferSample run_wan_get(
   std::unique_ptr<flow::FlowEngine> engine;
   if (fluid) engine = std::make_unique<flow::FlowEngine>(simulator, network);
 
-  std::unique_ptr<net::DatagramSink> sink;
-  std::unique_ptr<net::CbrSource> cbr_up, cbr_down;
-  if (bench_config.cross_traffic > 0 && fluid) {
-    // Fluid cross traffic: a pinned flow each way, zero per-packet events.
-    for (const auto& [src, dst] : {std::pair{path.host_a, path.host_b},
-                                   std::pair{path.host_b, path.host_a}}) {
-      flow::FlowSpec cross;
-      cross.src = src->id();
-      cross.dst = dst->id();
-      cross.bytes = flow::kUnboundedBytes;
-      cross.pinned_rate = bench_config.cross_traffic;
-      (void)engine->start(cross, [](const flow::FlowDone&) {});
-    }
-  } else if (bench_config.cross_traffic > 0) {
-    net::CbrConfig cbr;
-    cbr.rate = bench_config.cross_traffic;
-    sink = std::make_unique<net::DatagramSink>(*path.host_b);
-    cbr_up = std::make_unique<net::CbrSource>(network, *path.host_a,
-                                              *path.host_b, cbr,
-                                              bench_config.seed * 31 + 1);
-    cbr_down = std::make_unique<net::CbrSource>(network, *path.host_b,
-                                                *path.host_a, cbr,
-                                                bench_config.seed * 31 + 2);
-    cbr_up->start();
-    cbr_down->start();
+  // CBR (packet) or pinned flows (fluid) on the WAN path, both directions.
+  std::unique_ptr<flow::CrossTraffic> cross;
+  if (bench_config.cross_traffic > 0) {
+    cross = std::make_unique<flow::CrossTraffic>(
+        network, engine.get(), *path.host_a, *path.host_b,
+        bench_config.cross_traffic, bench_config.seed * 31 + 1,
+        bench_config.seed * 31 + 2);
   }
 
   security::CertificateAuthority ca("BenchCA");

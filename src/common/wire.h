@@ -4,8 +4,7 @@
 // RPC requests, GSI tokens, FTP command marshalling where needed — flows
 // through these, so endianness/layout is a single point of truth. Lives in
 // common (not rpc) because the security layer encodes GSI tokens with the
-// same primitives and sits *below* rpc in the layer DAG; rpc/serialize.h
-// re-exports these types under their historical gdmp::rpc names.
+// same primitives and sits *below* rpc in the layer DAG.
 #pragma once
 
 #include <cstdint>

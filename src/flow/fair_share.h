@@ -7,7 +7,9 @@
 // freeze and the rest keep rising. The engine calls this on the *closure*
 // of a change only — links a start/finish actually touched — with traffic
 // that is not being renegotiated folded into each link's capacity as fixed
-// load (flow_engine.cpp).
+// load (flow_engine.cpp). One entry may stand for a whole rate class of
+// identical flows (`members`): it weighs and consumes as that many flows
+// and each of them gets the entry's rate.
 //
 // Determinism: ties freeze in flow-index order; no container hashing, no
 // floating-point accumulation order dependence beyond the fixed input
@@ -28,6 +30,8 @@ namespace gdmp::flow {
 struct ShareFlow {
   double weight = 1.0;  ///< effective (RTT-scaled) weight, > 0
   double cap = std::numeric_limits<double>::infinity();  ///< rate ceiling
+  /// Identical flows this entry stands for (same path, weight and cap).
+  std::uint32_t members = 1;
   std::int32_t link_begin = 0;
   std::int32_t link_count = 0;
   // Outputs.
@@ -46,7 +50,7 @@ struct ShareLink {
   // Working state (overwritten by solve()).
   double residual = 0.0;
   double weight_sum = 0.0;
-  std::int32_t unfrozen = 0;
+  std::int32_t unfrozen = 0;  ///< entries not yet frozen
 };
 
 /// Reusable solver. All scratch lives in the instance, so steady-state
@@ -65,13 +69,28 @@ class WaterFill {
       link.weight_sum = 0.0;
       link.unfrozen = 0;
     }
+    // Per-link entry lists (CSR, flow-index order) so saturating a link
+    // visits only the entries crossing it.
+    link_start_.assign(links.size() + 1, 0);
     for (ShareFlow& flow : flows) {
       flow.rate = 0.0;
       flow.bottleneck = -1;
       for (std::int32_t m = 0; m < flow.link_count; ++m) {
-        ShareLink& link = links[membership[flow.link_begin + m]];
-        link.weight_sum += flow.weight;
-        ++link.unfrozen;
+        const std::int32_t l = membership[flow.link_begin + m];
+        links[l].weight_sum += flow.weight * flow.members;
+        ++links[l].unfrozen;
+        ++link_start_[l + 1];
+      }
+    }
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      link_start_[l + 1] += link_start_[l];
+    }
+    link_flows_.resize(static_cast<std::size_t>(link_start_.back()));
+    fill_.assign(link_start_.begin(), link_start_.end() - 1);
+    for (std::int32_t f = 0; f < static_cast<std::int32_t>(flows.size());
+         ++f) {
+      for (std::int32_t m = 0; m < flows[f].link_count; ++m) {
+        link_flows_[fill_[membership[flows[f].link_begin + m]]++] = f;
       }
     }
 
@@ -142,19 +161,11 @@ class WaterFill {
       }
 
       // Saturate `arg`: all its unfrozen flows freeze at the fill level.
-      for (std::size_t f = 0; f < flows.size() && links[arg].unfrozen > 0;
-           ++f) {
+      for (std::int32_t k = link_start_[arg];
+           k < link_start_[arg + 1] && links[arg].unfrozen > 0; ++k) {
+        const std::int32_t f = link_flows_[k];
         if (frozen_[f]) continue;
-        ShareFlow& flow = flows[f];
-        bool crosses = false;
-        for (std::int32_t m = 0; m < flow.link_count; ++m) {
-          if (membership[flow.link_begin + m] == arg) {
-            crosses = true;
-            break;
-          }
-        }
-        if (!crosses) continue;
-        freeze(flow, flow.weight * level, arg, links, membership);
+        freeze(flows[f], flows[f].weight * level, arg, links, membership);
         frozen_[f] = true;
         --remaining;
       }
@@ -171,16 +182,21 @@ class WaterFill {
               std::span<const std::int32_t> membership) {
     flow.rate = rate;
     flow.bottleneck = bottleneck;
+    const double consumed = rate * flow.members;
+    const double weight = flow.weight * flow.members;
     for (std::int32_t m = 0; m < flow.link_count; ++m) {
       ShareLink& link = links[membership[flow.link_begin + m]];
-      link.residual = std::max(link.residual - rate, 0.0);
-      link.weight_sum -= flow.weight;
+      link.residual = std::max(link.residual - consumed, 0.0);
+      link.weight_sum -= weight;
       --link.unfrozen;
     }
   }
 
   std::vector<std::int32_t> by_cap_;
   std::vector<char> frozen_;
+  std::vector<std::int32_t> link_start_;  // CSR offsets, links.size() + 1
+  std::vector<std::int32_t> link_flows_;  // flow indices grouped by link
+  std::vector<std::int32_t> fill_;        // CSR build cursor
 };
 
 }  // namespace gdmp::flow

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace gdmp::flow {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
 /// Payload bytes actually delivered (the slow-start deficit drains first,
 /// so early on this reads 0).
@@ -17,23 +19,46 @@ Bytes delivered_bytes(Bytes total, double remaining) noexcept {
   return static_cast<Bytes>(done);
 }
 
+std::uint64_t mix64(std::uint64_t h, std::uint64_t v) noexcept {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 27);
+}
+
+std::uint64_t bits_of(double value) noexcept {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
 }  // namespace
+
+std::size_t FlowEngine::ClassKeyHash::operator()(
+    const ClassKey& key) const noexcept {
+  std::uint64_t h = mix64(key.path_hash, bits_of(key.weight_eff));
+  h = mix64(h, bits_of(key.cap));
+  return static_cast<std::size_t>(mix64(h, bits_of(key.pinned_rate)));
+}
 
 FlowEngine::FlowEngine(sim::Simulator& simulator, net::Network& network,
                        FluidConfig config)
     : simulator_(simulator), network_(network), config_(config) {}
 
 FlowEngine::~FlowEngine() {
-  for (FlowState& flow : flows_) {
-    simulator_.cancel(flow.completion);
+  for (RateClass& cls : classes_) {
+    simulator_.cancel(cls.completion);
   }
   simulator_.cancel(reneg_event_);
+  // Teardown discipline (see Completion): in-flight flows are dropped with
+  // their parked completions uncalled.
+  flows_.clear();
 }
 
 void FlowEngine::set_metrics(const obs::MetricsScope& scope) {
   active_gauge_ = scope.gauge("active_flows");
   reneg_counter_ = scope.counter("renegotiations");
   links_recomputed_counter_ = scope.counter("links_recomputed");
+  classes_recomputed_counter_ = scope.counter("classes_recomputed");
   completed_counter_ = scope.counter("completed");
 }
 
@@ -66,6 +91,94 @@ std::uint32_t FlowEngine::alloc_slot() {
   return static_cast<std::uint32_t>(flows_.size() - 1);
 }
 
+std::int32_t FlowEngine::find_or_create_class(const ClassKey& key,
+                                              SimDuration rtt) {
+  const auto found = class_index_.find(key);
+  if (found != class_index_.end() &&
+      classes_[found->second].path == link_scratch_) {
+    return found->second;
+  }
+
+  std::int32_t index;
+  if (!free_classes_.empty()) {
+    index = free_classes_.back();
+    free_classes_.pop_back();
+  } else {
+    index = static_cast<std::int32_t>(classes_.size());
+    classes_.emplace_back();
+    classes_.back().gen = 1;
+    // Capacity ahead of the class pool, as for flow slots: free_class()
+    // never allocates.
+    if (free_classes_.capacity() < classes_.size()) {
+      free_classes_.reserve(classes_.size() * 2);
+      free_nodes_.reserve(classes_.size() * 2);
+    }
+  }
+  RateClass& cls = classes_[index];
+  cls.path.assign(link_scratch_.begin(), link_scratch_.end());
+  cls.pos_in_link.clear();
+  cls.members.clear();
+  cls.admitted = 0;
+  cls.key = key;
+  cls.in_closure = false;
+  cls.rate = cls.pinned() ? key.pinned_rate : 0.0;
+  cls.clock = 0.0;
+  cls.settled_at = simulator_.now();
+  cls.rtt = rtt;
+  cls.bottleneck = -1;
+  cls.completion = {};
+  if (!cls.pinned()) {
+    for (const std::int32_t li : cls.path) {
+      std::vector<std::int32_t>& classes = links_[li].classes;
+      cls.pos_in_link.push_back(static_cast<std::int32_t>(classes.size()));
+      classes.push_back(index);
+    }
+  }
+  // A class whose key is taken by a different path (hash collision, or a
+  // route recomputed under live flows) simply stays unindexed.
+  cls.indexed = found == class_index_.end();
+  if (cls.indexed) {
+    if (free_nodes_.empty()) {
+      class_index_.emplace(key, index);
+    } else {
+      ClassIndex::node_type node = std::move(free_nodes_.back());
+      free_nodes_.pop_back();
+      node.key() = key;
+      node.mapped() = index;
+      class_index_.insert(std::move(node));
+    }
+  }
+  return index;
+}
+
+void FlowEngine::free_class(std::int32_t index) {
+  RateClass& cls = classes_[index];
+  simulator_.cancel(cls.completion);
+  cls.completion = {};
+  for (std::size_t i = 0; i < cls.pos_in_link.size(); ++i) {
+    const std::int32_t li = cls.path[i];
+    LinkState& link = links_[li];
+    const auto pos = static_cast<std::size_t>(cls.pos_in_link[i]);
+    const std::int32_t moved = link.classes.back();
+    link.classes[pos] = moved;
+    link.classes.pop_back();
+    if (moved != index) {
+      RateClass& other = classes_[moved];
+      for (std::size_t j = 0; j < other.path.size(); ++j) {
+        if (other.path[j] == li) {
+          other.pos_in_link[j] = static_cast<std::int32_t>(pos);
+          break;
+        }
+      }
+    }
+    // An empty link carries no load: drop the running sum's rounding drift.
+    if (link.classes.empty()) link.load = 0.0;
+  }
+  if (cls.indexed) free_nodes_.push_back(class_index_.extract(cls.key));
+  ++cls.gen;
+  free_classes_.push_back(index);
+}
+
 FlowId FlowEngine::start(const FlowSpec& spec, Completion on_done) {
   path_scratch_.clear();
   if (!network_.path_links(spec.src, spec.dst, path_scratch_) ||
@@ -74,56 +187,57 @@ FlowId FlowEngine::start(const FlowSpec& spec, Completion on_done) {
     return FlowId{};
   }
 
+  SimDuration one_way = 0;
+  std::uint64_t path_hash = 0;
+  link_scratch_.clear();
+  for (net::Link* link : path_scratch_) {
+    one_way += link->config().propagation;
+    const std::int32_t li = intern_link(link);
+    link_scratch_.push_back(li);
+    path_hash = mix64(path_hash, static_cast<std::uint64_t>(li));
+  }
+  const SimDuration rtt = std::max<SimDuration>(2 * one_way, kMicrosecond);
+  const double rtt_sec = to_seconds(rtt);
+  const double ref_sec =
+      to_seconds(std::max<SimDuration>(config_.reference_rtt, kMicrosecond));
+  ClassKey key;
+  key.path_hash = path_hash;
+  key.weight_eff = std::max(spec.weight, 1e-9) * ref_sec / rtt_sec;
+  key.cap = spec.window > 0
+                ? static_cast<double>(spec.window) * 8.0 / rtt_sec
+                : kInf;
+  const double pinned = spec.pinned_rate * config_.efficiency;
+  key.pinned_rate =
+      spec.pinned_rate > 0
+          ? std::max(pinned, static_cast<double>(config_.min_rate))
+          : 0.0;
+  const std::int32_t index = find_or_create_class(key, rtt);
+
   const std::uint32_t slot = alloc_slot();
   FlowState& flow = flows_[slot];
   flow.spec = spec;
   flow.on_done = std::move(on_done);
   flow.in_use = true;
-  flow.pinned = spec.pinned_rate > 0;
-  flow.rate_assigned = false;
-  flow.in_closure = false;
-  flow.rate = 0.0;
-  flow.remaining = static_cast<double>(spec.bytes);
-  flow.started = flow.settled_at = simulator_.now();
-  flow.bottleneck = -1;
-  flow.completion = {};
-  flow.path.clear();
-  flow.pos_in_link.clear();
+  flow.rate_class = index;
+  flow.started = simulator_.now();
+  RateClass& cls = classes_[index];
+  flow.pos = static_cast<std::uint32_t>(cls.members.size());
+  cls.members.push_back(slot);
 
-  SimDuration one_way = 0;
-  for (net::Link* link : path_scratch_) {
-    one_way += link->config().propagation;
-    flow.path.push_back(intern_link(link));
-  }
-  flow.rtt = std::max<SimDuration>(2 * one_way, kMicrosecond);
-  const double rtt_sec = to_seconds(flow.rtt);
-  const double ref_sec =
-      to_seconds(std::max<SimDuration>(config_.reference_rtt, kMicrosecond));
-  flow.weight_eff = std::max(spec.weight, 1e-9) * ref_sec / rtt_sec;
-  flow.cap = spec.window > 0
-                 ? static_cast<double>(spec.window) * 8.0 / rtt_sec
-                 : kInf;
-
-  for (std::size_t i = 0; i < flow.path.size(); ++i) {
-    LinkState& link = links_[flow.path[i]];
-    if (flow.pinned) {
-      link.pinned += spec.pinned_rate * config_.efficiency;
-      flow.pos_in_link.push_back(-1);
-    } else {
-      flow.pos_in_link.push_back(static_cast<std::int32_t>(link.flows.size()));
-      link.flows.push_back(slot);
-    }
-    mark_dirty(flow.path[i]);
+  for (const std::int32_t li : cls.path) {
+    if (cls.pinned()) links_[li].pinned += pinned;
+    mark_dirty(li);
   }
 
   ++stats_.flows_started;
   ++active_count_;
   if (active_gauge_) active_gauge_->set(static_cast<double>(active_count_));
 
-  if (flow.pinned) {
+  if (cls.pinned()) {
     // Unresponsive flow: its rate is fixed now and forever; only the
     // fair-share population renegotiates around it.
-    apply_rate(slot, spec.pinned_rate * config_.efficiency, -1);
+    admit_pending(cls, cls.rate);
+    if (cls.members[0] == slot) arm(index);
   }
   schedule_renegotiation();
   return FlowId{slot, flow.gen};
@@ -131,7 +245,6 @@ FlowId FlowEngine::start(const FlowSpec& spec, Completion on_done) {
 
 bool FlowEngine::cancel(FlowId id) {
   if (!active(id)) return false;
-  settle(flows_[id.slot], simulator_.now());
   ++stats_.flows_cancelled;
   retire(id.slot, false);
   return true;
@@ -143,13 +256,19 @@ bool FlowEngine::active(FlowId id) const noexcept {
 }
 
 BitsPerSec FlowEngine::rate(FlowId id) const noexcept {
-  return active(id) ? flows_[id.slot].rate : 0.0;
+  if (!active(id)) return 0.0;
+  const FlowState& flow = flows_[id.slot];
+  const RateClass& cls = classes_[flow.rate_class];
+  return flow.pos < cls.admitted ? cls.rate : 0.0;
 }
 
 Bytes FlowEngine::transferred(FlowId id) const noexcept {
   if (!active(id)) return 0;
   const FlowState& flow = flows_[id.slot];
-  return delivered_bytes(flow.spec.bytes, remaining_now(flow));
+  const RateClass& cls = classes_[flow.rate_class];
+  if (flow.pos >= cls.admitted) return 0;
+  const double left = flow.finish_tag - clock_at(cls, simulator_.now());
+  return delivered_bytes(flow.spec.bytes, left > 0.0 ? left : 0.0);
 }
 
 void FlowEngine::on_link_changed(const net::Link* link) {
@@ -166,9 +285,7 @@ double FlowEngine::link_utilization(const net::Link* link) const noexcept {
   if (it == link_index_.end()) return 0.0;
   const LinkState& state = links_[it->second];
   if (state.capacity <= 0.0) return 0.0;
-  double load = state.pinned;
-  for (const std::uint32_t slot : state.flows) load += flows_[slot].rate;
-  return load / state.capacity;
+  return (state.pinned + state.load) / state.capacity;
 }
 
 double FlowEngine::link_bytes_moved(const net::Link* link) const noexcept {
@@ -176,36 +293,101 @@ double FlowEngine::link_bytes_moved(const net::Link* link) const noexcept {
   if (it == link_index_.end()) return 0.0;
   const LinkState& state = links_[it->second];
   double total = state.bytes_moved;
-  // Resident flows have settled state only as of their last renegotiation;
-  // add the portion each has moved since (settle() will credit it later).
-  for (const std::uint32_t slot : state.flows) {
-    const FlowState& flow = flows_[slot];
-    total += flow.remaining - remaining_now(flow);
+  // Resident classes have settled state only as of their last re-rate;
+  // add what their members have moved since (settle() credits it later).
+  // A member outlives its drain only by the nanosecond completion
+  // rounding, so clamping per member would change this by under a byte.
+  const SimTime now = simulator_.now();
+  for (const std::int32_t index : state.classes) {
+    const RateClass& cls = classes_[index];
+    total += (clock_at(cls, now) - cls.clock) * cls.admitted;
   }
   return total;
 }
 
-void FlowEngine::settle(FlowState& flow, SimTime now) {
-  if (now <= flow.settled_at) return;
-  double moved = flow.rate * to_seconds(now - flow.settled_at) / 8.0;
-  if (moved > flow.remaining) moved = flow.remaining;
-  flow.remaining -= moved;
-  flow.settled_at = now;
+double FlowEngine::clock_at(const RateClass& cls, SimTime now) const noexcept {
+  if (now <= cls.settled_at) return cls.clock;
+  return cls.clock + cls.rate * to_seconds(now - cls.settled_at) / 8.0;
+}
+
+void FlowEngine::settle(RateClass& cls, SimTime now) {
+  if (now <= cls.settled_at) return;
+  const double clock = clock_at(cls, now);
   // Per-link byte accounting for fair-share traffic. Pinned flows are
   // background load, not transfers — see link_bytes_moved().
-  if (!flow.pinned && moved > 0.0) {
-    for (const std::int32_t li : flow.path) {
-      links_[li].bytes_moved += moved;
+  if (!cls.pinned() && cls.admitted > 0) {
+    const double moved = (clock - cls.clock) * cls.admitted;
+    for (const std::int32_t li : cls.path) links_[li].bytes_moved += moved;
+  }
+  cls.clock = clock;
+  cls.settled_at = now;
+}
+
+void FlowEngine::admit_pending(RateClass& cls, double first_rate) {
+  const double clock = clock_at(cls, simulator_.now());
+  while (cls.admitted < cls.members.size()) {
+    const std::uint32_t pos = cls.admitted++;
+    FlowState& flow = flows_[cls.members[pos]];
+    double bytes = static_cast<double>(flow.spec.bytes);
+    if (config_.model_slow_start && !cls.pinned() &&
+        flow.spec.bytes < kUnboundedBytes) {
+      // One-shot slow-start tax: bytes "lost" while the window doubles from
+      // the initial window up to its steady value (capped by the receive
+      // window or the path rate × RTT product).
+      const double steady_window =
+          std::min(flow.spec.window > 0
+                       ? static_cast<double>(flow.spec.window)
+                       : kInf,
+                   first_rate * to_seconds(cls.rtt) / 8.0);
+      const double initial =
+          std::max(static_cast<double>(config_.initial_window), 1.0);
+      if (steady_window > initial) {
+        const double doublings = std::log2(steady_window / initial);
+        bytes += steady_window * std::max(0.0, doublings - 2.0);
+      }
     }
+    flow.finish_tag = clock + bytes;
+    sift_up(cls, pos);
   }
 }
 
-double FlowEngine::remaining_now(const FlowState& flow) const noexcept {
-  const SimTime now = simulator_.now();
-  if (now <= flow.settled_at) return flow.remaining;
-  const double left =
-      flow.remaining - flow.rate * to_seconds(now - flow.settled_at) / 8.0;
-  return left > 0.0 ? left : 0.0;
+SimTime FlowEngine::head_drain_time(const RateClass& cls) const noexcept {
+  if (cls.admitted == 0) return kNever;
+  const double left = flows_[cls.members[0]].finish_tag - cls.clock;
+  const double ns = (left > 0.0 ? left : 0.0) * 8.0 / cls.rate * 1e9;
+  if (!(ns < static_cast<double>(
+            std::numeric_limits<SimTime>::max() / 4))) {
+    return kNever;  // effectively never (unbounded background flows)
+  }
+  return cls.settled_at + static_cast<SimDuration>(ns) + 1;  // ceil
+}
+
+void FlowEngine::arm(std::int32_t index) {
+  RateClass& cls = classes_[index];
+  const SimTime when = head_drain_time(cls);
+  if (when == kNever) {
+    simulator_.cancel(cls.completion);
+    cls.completion = {};
+    return;
+  }
+  if (simulator_.reschedule_at(cls.completion, when)) return;
+  cls.completion = simulator_.schedule_at(
+      when, [this, index, gen = cls.gen,
+             weak = std::weak_ptr<bool>(alive_)] {
+        if (weak.expired()) return;
+        on_head_due(index, gen);
+      });
+}
+
+void FlowEngine::on_head_due(std::int32_t index, std::uint32_t gen) {
+  // Every member due by now completes in finish-tag order; completion
+  // callbacks may start, cancel or free classes (re-check each round).
+  for (;;) {
+    RateClass& cls = classes_[index];
+    if (cls.gen != gen) return;  // stale: the class was freed
+    if (head_drain_time(cls) > simulator_.now()) return;  // arm() moved it
+    complete(cls.members[0]);
+  }
 }
 
 void FlowEngine::mark_dirty(std::int32_t link_index) {
@@ -215,8 +397,14 @@ void FlowEngine::mark_dirty(std::int32_t link_index) {
   dirty_links_.push_back(link_index);
 }
 
+SimTime FlowEngine::next_renegotiation() const noexcept {
+  if (reneg_pending_) return reneg_at_;
+  return simulator_.now() + std::max<SimDuration>(config_.reneg_quantum, 0);
+}
+
 void FlowEngine::schedule_renegotiation() {
   if (reneg_pending_) return;
+  reneg_at_ = next_renegotiation();
   reneg_pending_ = true;
   if (simulator_.reschedule(reneg_event_, config_.reneg_quantum)) return;
   reneg_event_ = simulator_.schedule(
@@ -227,17 +415,27 @@ void FlowEngine::schedule_renegotiation() {
       });
 }
 
+void FlowEngine::join_closure(std::int32_t index) {
+  RateClass& cls = classes_[index];
+  if (cls.in_closure) return;
+  cls.in_closure = true;
+  closure_classes_.push_back(index);
+  // Until apply_rate() adds it back, `load` holds only the fixed load.
+  const double load = cls.rate * cls.admitted;
+  for (const std::int32_t li : cls.path) links_[li].load -= load;
+}
+
 void FlowEngine::renegotiate() {
   reneg_pending_ = false;
   if (dirty_links_.empty()) return;
   ++stats_.renegotiations;
   if (reneg_counter_) reneg_counter_->add();
 
-  closure_flows_.clear();
+  closure_classes_.clear();
   solve_links_.clear();
 
-  // Seed: every dirty link is *absorbed* — its resident fair-share flows
-  // will be re-rated. (`dirty` doubles as the absorbed marker below.)
+  // Seed: every dirty link is *absorbed* — its resident classes will be
+  // re-rated. (`dirty` doubles as the absorbed marker below.)
   for (const std::int32_t li : dirty_links_) {
     LinkState& link = links_[li];
     if (link.share_index >= 0) continue;
@@ -245,25 +443,21 @@ void FlowEngine::renegotiate() {
     solve_links_.push_back(li);
   }
 
-  std::size_t absorbed_scan = 0;   // solve_links_ entries whose flows joined
-  std::size_t flow_scan = 0;       // closure flows whose paths were walked
+  std::size_t absorbed_scan = 0;  // solve_links_ entries whose classes joined
+  std::size_t class_scan = 0;     // closure classes whose paths were walked
   int round = 0;
   for (;;) {
-    // Discovery: flows of newly absorbed links join the closure; links on
-    // newly joined flows' paths join the solve as capacity constraints
+    // Discovery: classes of newly absorbed links join the closure; links on
+    // newly joined classes' paths join the solve as capacity constraints
     // (their own residents stay fixed unless a later round absorbs them).
     for (; absorbed_scan < solve_links_.size(); ++absorbed_scan) {
       const LinkState& link = links_[solve_links_[absorbed_scan]];
       if (!link.dirty) continue;  // constraint-only link, not absorbed
-      for (const std::uint32_t slot : link.flows) {
-        FlowState& flow = flows_[slot];
-        if (flow.in_closure) continue;
-        flow.in_closure = true;
-        closure_flows_.push_back(slot);
-      }
+      for (const std::int32_t index : link.classes) join_closure(index);
     }
-    for (; flow_scan < closure_flows_.size(); ++flow_scan) {
-      for (const std::int32_t li : flows_[closure_flows_[flow_scan]].path) {
+    for (; class_scan < closure_classes_.size(); ++class_scan) {
+      const RateClass& cls = classes_[closure_classes_[class_scan]];
+      for (const std::int32_t li : cls.path) {
         LinkState& link = links_[li];
         if (link.share_index >= 0) continue;
         link.share_index = static_cast<std::int32_t>(solve_links_.size());
@@ -271,29 +465,27 @@ void FlowEngine::renegotiate() {
       }
     }
 
-    // Solver input: closure flows over solve links, with pinned traffic
-    // and out-of-closure flows folded in as fixed load.
+    // Solver input: closure classes over solve links, with pinned traffic
+    // and out-of-closure classes folded in as fixed load.
     share_links_.clear();
     for (const std::int32_t li : solve_links_) {
       const LinkState& link = links_[li];
-      double fixed = link.pinned;
-      for (const std::uint32_t slot : link.flows) {
-        if (!flows_[slot].in_closure) fixed += flows_[slot].rate;
-      }
       ShareLink entry;
-      entry.capacity = link.capacity - fixed;
+      entry.capacity =
+          link.capacity - link.pinned - std::max(link.load, 0.0);
       share_links_.push_back(entry);
     }
     share_flows_.clear();
     membership_.clear();
-    for (const std::uint32_t slot : closure_flows_) {
-      const FlowState& flow = flows_[slot];
+    for (const std::int32_t index : closure_classes_) {
+      const RateClass& cls = classes_[index];
       ShareFlow entry;
-      entry.weight = flow.weight_eff;
-      entry.cap = flow.cap;
+      entry.weight = cls.key.weight_eff;
+      entry.cap = cls.key.cap;
+      entry.members = static_cast<std::uint32_t>(cls.members.size());
       entry.link_begin = static_cast<std::int32_t>(membership_.size());
-      entry.link_count = static_cast<std::int32_t>(flow.path.size());
-      for (const std::int32_t li : flow.path) {
+      entry.link_count = static_cast<std::int32_t>(cls.path.size());
+      for (const std::int32_t li : cls.path) {
         membership_.push_back(links_[li].share_index);
       }
       share_flows_.push_back(entry);
@@ -303,9 +495,9 @@ void FlowEngine::renegotiate() {
     if (round >= config_.max_rounds) break;
 
     // Expansion: a constraint-only link whose capacity is now under-used
-    // only matters if a resident fixed flow was bottlenecked *on that
+    // only matters if a resident fixed class was bottlenecked *on that
     // link* — then it can claim the slack and must be re-rated. Absorbing
-    // links without such a flow would drag the whole network into every
+    // links without such a class would drag the whole network into every
     // solve (the O(F^2) trap).
     bool expanded = false;
     for (std::size_t i = 0; i < solve_links_.size(); ++i) {
@@ -313,9 +505,9 @@ void FlowEngine::renegotiate() {
       if (link.dirty) continue;  // already absorbed
       if (share_links_[i].residual <= config_.slack_epsilon) continue;
       bool claimable = false;
-      for (const std::uint32_t slot : link.flows) {
-        const FlowState& flow = flows_[slot];
-        if (!flow.in_closure && flow.bottleneck == solve_links_[i]) {
+      for (const std::int32_t index : link.classes) {
+        const RateClass& cls = classes_[index];
+        if (!cls.in_closure && cls.bottleneck == solve_links_[i]) {
           claimable = true;
           break;
         }
@@ -323,30 +515,33 @@ void FlowEngine::renegotiate() {
       if (claimable) {
         // Absorb directly (the discovery cursor already passed this link).
         link.dirty = true;
-        for (const std::uint32_t slot : link.flows) {
-          FlowState& flow = flows_[slot];
-          if (flow.in_closure) continue;
-          flow.in_closure = true;
-          closure_flows_.push_back(slot);
-        }
+        for (const std::int32_t index : link.classes) join_closure(index);
         expanded = true;
       }
     }
     if (!expanded) break;
   }
 
+  std::int64_t flows = 0;
+  for (const ShareFlow& entry : share_flows_) flows += entry.members;
   stats_.links_recomputed += static_cast<std::int64_t>(solve_links_.size());
-  stats_.flows_recomputed += static_cast<std::int64_t>(closure_flows_.size());
+  stats_.flows_recomputed += flows;
+  stats_.classes_recomputed +=
+      static_cast<std::int64_t>(closure_classes_.size());
   if (links_recomputed_counter_) {
     links_recomputed_counter_->add(
         static_cast<std::int64_t>(solve_links_.size()));
   }
+  if (classes_recomputed_counter_) {
+    classes_recomputed_counter_->add(
+        static_cast<std::int64_t>(closure_classes_.size()));
+  }
 
-  // Apply after the solve has fully converged: settle each flow under its
+  // Apply after the solve has fully converged: settle each class under its
   // old rate, install the new one, and move its completion event.
-  for (std::size_t i = 0; i < closure_flows_.size(); ++i) {
+  for (std::size_t i = 0; i < closure_classes_.size(); ++i) {
     const std::int32_t share_bottleneck = share_flows_[i].bottleneck;
-    apply_rate(closure_flows_[i], share_flows_[i].rate,
+    apply_rate(closure_classes_[i], share_flows_[i].rate,
                share_bottleneck >= 0 ? solve_links_[share_bottleneck] : -1);
   }
 
@@ -354,97 +549,131 @@ void FlowEngine::renegotiate() {
     links_[li].share_index = -1;
     links_[li].dirty = false;
   }
-  for (const std::uint32_t slot : closure_flows_) {
-    flows_[slot].in_closure = false;
+  for (const std::int32_t index : closure_classes_) {
+    classes_[index].in_closure = false;
   }
   dirty_links_.clear();
 }
 
-void FlowEngine::apply_rate(std::uint32_t slot, double rate,
+void FlowEngine::apply_rate(std::int32_t index, double rate,
                             std::int32_t bottleneck) {
-  FlowState& flow = flows_[slot];
-  const SimTime now = simulator_.now();
-  settle(flow, now);
-
-  if (!flow.rate_assigned) {
-    flow.rate_assigned = true;
-    if (config_.model_slow_start && !flow.pinned &&
-        flow.spec.bytes < kUnboundedBytes) {
-      // One-shot slow-start tax: bytes "lost" while the window doubles from
-      // the initial window up to its steady value (capped by the receive
-      // window or the path rate × RTT product).
-      const double steady_window =
-          std::min(flow.spec.window > 0
-                       ? static_cast<double>(flow.spec.window)
-                       : kInf,
-                   rate * to_seconds(flow.rtt) / 8.0);
-      const double initial =
-          std::max(static_cast<double>(config_.initial_window), 1.0);
-      if (steady_window > initial) {
-        const double doublings = std::log2(steady_window / initial);
-        flow.remaining += steady_window * std::max(0.0, doublings - 2.0);
-      }
-    }
-  }
-
-  flow.rate = std::max(rate, static_cast<double>(config_.min_rate));
-  flow.bottleneck = bottleneck;
-
-  // Move the completion event to the new drain time.
-  const double ns = flow.remaining * 8.0 / flow.rate * 1e9;
-  if (!(ns < static_cast<double>(
-            std::numeric_limits<SimTime>::max() / 4))) {
-    // Effectively never (unbounded background flows): no completion event.
-    simulator_.cancel(flow.completion);
-    flow.completion = {};
-    return;
-  }
-  const SimDuration delay = static_cast<SimDuration>(ns) + 1;  // ceil
-  if (simulator_.reschedule(flow.completion, delay)) return;
-  flow.completion = simulator_.schedule(
-      delay, [this, slot, gen = flow.gen,
-              weak = std::weak_ptr<bool>(alive_)] {
-        if (weak.expired()) return;
-        if (slot >= flows_.size() || !flows_[slot].in_use ||
-            flows_[slot].gen != gen) {
-          return;  // stale: the flow was retired and the event not cancelled
-        }
-        complete(slot);
-      });
+  RateClass& cls = classes_[index];
+  settle(cls, simulator_.now());
+  cls.rate = std::max(rate, static_cast<double>(config_.min_rate));
+  cls.bottleneck = bottleneck;
+  admit_pending(cls, rate);
+  const double load = cls.rate * cls.admitted;
+  for (const std::int32_t li : cls.path) links_[li].load += load;
+  arm(index);
 }
 
-void FlowEngine::detach_from_links(std::uint32_t slot) {
-  FlowState& flow = flows_[slot];
-  for (std::size_t i = 0; i < flow.path.size(); ++i) {
-    const std::int32_t li = flow.path[i];
-    LinkState& link = links_[li];
-    if (flow.pinned) {
-      link.pinned -= flow.spec.pinned_rate * config_.efficiency;
-      if (link.pinned < 0.0) link.pinned = 0.0;
-    } else {
-      const auto pos = static_cast<std::size_t>(flow.pos_in_link[i]);
-      const std::uint32_t moved = link.flows.back();
-      link.flows[pos] = moved;
-      link.flows.pop_back();
-      if (moved != slot) {
-        FlowState& other = flows_[moved];
-        for (std::size_t j = 0; j < other.path.size(); ++j) {
-          if (other.path[j] == li) {
-            other.pos_in_link[j] = static_cast<std::int32_t>(pos);
-            break;
-          }
-        }
+void FlowEngine::place(RateClass& cls, std::uint32_t pos, std::uint32_t slot) {
+  cls.members[pos] = slot;
+  flows_[slot].pos = pos;
+}
+
+bool FlowEngine::finishes_before(std::uint32_t a,
+                                 std::uint32_t b) const noexcept {
+  const double ta = flows_[a].finish_tag;
+  const double tb = flows_[b].finish_tag;
+  return ta < tb || (ta == tb && a < b);
+}
+
+void FlowEngine::sift_up(RateClass& cls, std::uint32_t pos) {
+  const std::uint32_t slot = cls.members[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    const std::uint32_t above = cls.members[parent];
+    if (!finishes_before(slot, above)) break;
+    place(cls, pos, above);
+    pos = parent;
+  }
+  place(cls, pos, slot);
+}
+
+void FlowEngine::sift_down(RateClass& cls, std::uint32_t pos) {
+  const std::uint32_t slot = cls.members[pos];
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= cls.admitted) break;
+    if (child + 1 < cls.admitted &&
+        finishes_before(cls.members[child + 1], cls.members[child])) {
+      ++child;
+    }
+    const std::uint32_t below = cls.members[child];
+    if (!finishes_before(below, slot)) break;
+    place(cls, pos, below);
+    pos = child;
+  }
+  place(cls, pos, slot);
+}
+
+void FlowEngine::leave_class(std::uint32_t slot) {
+  const FlowState& flow = flows_[slot];
+  const std::int32_t index = flow.rate_class;
+  RateClass& cls = classes_[index];
+  const std::uint32_t pos = flow.pos;
+  const bool was_head = pos == 0 && cls.admitted > 0;
+  const SimTime now = simulator_.now();
+  const double pinned =
+      cls.pinned() ? flow.spec.pinned_rate * config_.efficiency : 0.0;
+
+  if (pos < cls.admitted) {
+    if (!cls.pinned()) {
+      // Credit what the member moved since the last settle, and take its
+      // rate off the running link loads.
+      const double left = std::max(flow.finish_tag - cls.clock, 0.0);
+      const double moved = std::min(left, clock_at(cls, now) - cls.clock);
+      for (const std::int32_t li : cls.path) {
+        LinkState& link = links_[li];
+        if (moved > 0.0) link.bytes_moved += moved;
+        link.load -= cls.rate;
       }
     }
+    // Heap removal: the last heap entry fills the hole and the last pending
+    // member (if any) takes the slot the shrunken heap gives up.
+    const std::uint32_t last = cls.admitted - 1;
+    if (pos != last) place(cls, pos, cls.members[last]);
+    if (cls.members.size() > cls.admitted) {
+      place(cls, last, cls.members.back());
+    }
+    cls.members.pop_back();
+    --cls.admitted;
+    if (pos < cls.admitted) {
+      sift_up(cls, pos);
+      sift_down(cls, pos);  // a no-op if the entry moved up
+    }
+  } else {
+    if (pos + 1 != cls.members.size()) place(cls, pos, cls.members.back());
+    cls.members.pop_back();
+  }
+
+  for (const std::int32_t li : cls.path) {
+    LinkState& link = links_[li];
+    if (cls.pinned()) {
+      link.pinned -= pinned;
+      if (link.pinned < 0.0) link.pinned = 0.0;
+    }
     mark_dirty(li);
+  }
+
+  if (cls.members.empty()) {
+    free_class(index);
+  } else if (was_head) {
+    // retire() schedules a renegotiation, which re-rates this class (its
+    // links are dirty now) and arms it then. Until that instant the new
+    // head needs an event only if it drains first.
+    if (cls.pinned() || head_drain_time(cls) <= next_renegotiation()) {
+      arm(index);
+    } else {
+      simulator_.cancel(cls.completion);
+      cls.completion = {};
+    }
   }
 }
 
 void FlowEngine::complete(std::uint32_t slot) {
-  FlowState& flow = flows_[slot];
-  flow.completion = {};  // the event just fired
-  settle(flow, simulator_.now());
-  flow.remaining = 0.0;
+  const FlowState& flow = flows_[slot];
   ++stats_.flows_completed;
   stats_.bytes_completed += flow.spec.bytes;
   if (completed_counter_) completed_counter_->add();
@@ -453,22 +682,29 @@ void FlowEngine::complete(std::uint32_t slot) {
 
 void FlowEngine::retire(std::uint32_t slot, bool ok) {
   FlowState& flow = flows_[slot];
-  detach_from_links(slot);
-  simulator_.cancel(flow.completion);
-  flow.completion = {};
 
   FlowDone done;
   done.id = FlowId{slot, flow.gen};
   done.ok = ok;
-  done.transferred =
-      ok ? flow.spec.bytes : delivered_bytes(flow.spec.bytes, flow.remaining);
+  done.transferred = 0;
+  if (ok) {
+    done.transferred = flow.spec.bytes;
+  } else if (const RateClass& cls = classes_[flow.rate_class];
+             flow.pos < cls.admitted) {
+    const double left =
+        flow.finish_tag - clock_at(cls, simulator_.now());
+    done.transferred =
+        delivered_bytes(flow.spec.bytes, left > 0.0 ? left : 0.0);
+  }
   done.started = flow.started;
   done.finished = simulator_.now();
   done.tag = flow.spec.tag;
 
+  leave_class(slot);
   Completion callback = std::move(flow.on_done);
   flow.on_done = {};
   flow.in_use = false;
+  flow.rate_class = -1;
   ++flow.gen;
   free_slots_.push_back(slot);
   --active_count_;

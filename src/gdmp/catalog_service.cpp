@@ -5,7 +5,7 @@
 namespace gdmp::core {
 namespace {
 
-void encode_replica_info(rpc::Writer& w, const ReplicaInfo& info) {
+void encode_replica_info(wire::Writer& w, const ReplicaInfo& info) {
   w.str(info.lfn);
   w.i64(info.attributes.size);
   w.i64(info.attributes.modify_time);
@@ -20,7 +20,7 @@ void encode_replica_info(rpc::Writer& w, const ReplicaInfo& info) {
   for (const auto& location : info.locations) w.str(location);
 }
 
-ReplicaInfo decode_replica_info(rpc::Reader& r) {
+ReplicaInfo decode_replica_info(wire::Reader& r) {
   ReplicaInfo info;
   info.lfn = r.str();
   info.attributes.size = r.i64();
@@ -51,12 +51,12 @@ catalog::LogicalFileAttributes attributes_of(const PublishedFile& file) {
 }
 
 // Per-item status in a batch reply: error code byte + message string.
-void encode_status(rpc::Writer& w, const Status& status) {
+void encode_status(wire::Writer& w, const Status& status) {
   w.u8(static_cast<std::uint8_t>(status.code()));
   w.str(status.message());
 }
 
-Status decode_status(rpc::Reader& r) {
+Status decode_status(wire::Reader& r) {
   const auto code = static_cast<ErrorCode>(r.u8());
   std::string message = r.str();
   if (code == ErrorCode::kOk) return Status::ok();
@@ -131,7 +131,7 @@ Status CatalogServer::publish_one(const std::string& collection,
 
 void CatalogServer::handle_publish(std::span<const std::uint8_t> params,
                                    Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const PublishedFile file = decode_published_file(r);
   const std::string location_name = r.str();
@@ -149,7 +149,7 @@ void CatalogServer::handle_publish(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
                                          Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   std::string collection = r.str();
   std::string location_name = r.str();
   std::string url_prefix = r.str();
@@ -170,7 +170,7 @@ void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
                 location_name = std::move(location_name),
                 url_prefix = std::move(url_prefix), files = std::move(files),
                 respond = std::move(respond)] {
-                 rpc::Writer w;
+                 wire::Writer w;
                  w.u32(static_cast<std::uint32_t>(files.size()));
                  for (const PublishedFile& file : files) {
                    const Status status =
@@ -187,7 +187,7 @@ void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_add_replica(std::span<const std::uint8_t> params,
                                        Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const std::string lfn = r.str();
   const std::string location_name = r.str();
@@ -211,7 +211,7 @@ void CatalogServer::handle_add_replica(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_remove_replica(
     std::span<const std::uint8_t> params, Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const std::string lfn = r.str();
   const std::string location_name = r.str();
@@ -229,7 +229,7 @@ void CatalogServer::handle_remove_replica(
 
 void CatalogServer::handle_unregister(std::span<const std::uint8_t> params,
                                       Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const std::string lfn = r.str();
   if (!r.ok()) {
@@ -244,7 +244,7 @@ void CatalogServer::handle_unregister(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_lookup(std::span<const std::uint8_t> params,
                                   Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const std::string lfn = r.str();
   if (!r.ok()) {
@@ -266,7 +266,7 @@ void CatalogServer::handle_lookup(std::span<const std::uint8_t> params,
     info.lfn = lfn;
     info.attributes = *attrs;
     info.locations = *locations;
-    rpc::Writer w;
+    wire::Writer w;
     encode_replica_info(w, info);
     respond(Status::ok(), w.take());
   });
@@ -274,7 +274,7 @@ void CatalogServer::handle_lookup(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
                                         Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const std::uint32_t n = r.u32();
   std::vector<std::pair<std::string, std::uint64_t>> items;
@@ -294,7 +294,7 @@ void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
   // (one byte) without materialising anything — that is the whole point of
   // version-stamp revalidation — so only full results pay the per-result
   // latency, like handle_list.
-  rpc::Writer w;
+  wire::Writer w;
   w.u32(static_cast<std::uint32_t>(items.size()));
   std::size_t full_results = 0;
   for (const auto& [lfn, cached_stamp] : items) {
@@ -337,7 +337,7 @@ void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_list(std::span<const std::uint8_t> params,
                                 Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   if (!r.ok()) {
     respond(make_error(ErrorCode::kInvalidArgument, "malformed list"), {});
@@ -351,7 +351,7 @@ void CatalogServer::handle_list(std::span<const std::uint8_t> params,
   with_latency(files->size(),
                [files = std::move(files.value()),
                 respond = std::move(respond)]() mutable {
-                 rpc::Writer w;
+                 wire::Writer w;
                  w.u32(static_cast<std::uint32_t>(files.size()));
                  for (const auto& lfn : files) w.str(lfn);
                  respond(Status::ok(), w.take());
@@ -360,7 +360,7 @@ void CatalogServer::handle_list(std::span<const std::uint8_t> params,
 
 void CatalogServer::handle_search(std::span<const std::uint8_t> params,
                                   Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string collection = r.str();
   const std::string filter_text = r.str();
   if (!r.ok()) {
@@ -381,7 +381,7 @@ void CatalogServer::handle_search(std::span<const std::uint8_t> params,
       matches->size(),
       [this, collection, matches = std::move(matches.value()),
        respond = std::move(respond)]() mutable {
-        rpc::Writer w;
+        wire::Writer w;
         w.u32(static_cast<std::uint32_t>(matches.size()));
         for (const auto& [lfn, attrs] : matches) {
           ReplicaInfo info;
@@ -438,7 +438,7 @@ void CatalogClient::publish(const std::string& collection,
                     "publish requires collection, lfn and location"));
     return;
   }
-  rpc::Writer w;
+  wire::Writer w;
   w.str(collection);
   encode_published_file(w, file);
   w.str(location_name);
@@ -485,7 +485,7 @@ void CatalogClient::publish_chunk(
     std::function<void(Status, std::vector<Status>)> done) {
   const std::size_t batch = std::max<std::size_t>(config_.max_batch, 1);
   const std::size_t end = std::min(files->size(), offset + batch);
-  rpc::Writer w;
+  wire::Writer w;
   w.str(collection);
   w.str(location_name);
   w.str(url_prefix);
@@ -507,7 +507,7 @@ void CatalogClient::publish_chunk(
         Status outcome = status;
         bool any_ok = false;
         if (outcome.is_ok()) {
-          rpc::Reader r(reply);
+          wire::Reader r(reply);
           const std::uint32_t n = r.u32();
           for (std::uint32_t i = 0;
                i < n && r.ok() && statuses->size() < files->size(); ++i) {
@@ -547,7 +547,7 @@ void CatalogClient::add_replica(const std::string& collection,
                                 const std::string& location_name,
                                 const std::string& url_prefix,
                                 std::function<void(Status)> done) {
-  rpc::Writer w;
+  wire::Writer w;
   w.str(collection);
   w.str(lfn);
   w.str(location_name);
@@ -568,7 +568,7 @@ void CatalogClient::remove_replica(const std::string& collection,
                                    const LogicalFileName& lfn,
                                    const std::string& location_name,
                                    std::function<void(Status)> done) {
-  rpc::Writer w;
+  wire::Writer w;
   w.str(collection);
   w.str(lfn);
   w.str(location_name);
@@ -654,7 +654,7 @@ void CatalogClient::lookup_batch(
         fetch.begin() +
         static_cast<std::ptrdiff_t>(std::min((c + 1) * batch, fetch.size()));
     std::vector<Pending> chunk(begin, stop);
-    rpc::Writer w;
+    wire::Writer w;
     w.str(collection);
     w.u32(static_cast<std::uint32_t>(chunk.size()));
     for (const Pending& p : chunk) {
@@ -672,7 +672,7 @@ void CatalogClient::lookup_batch(
             if (first_error->is_ok()) *first_error = status;
             for (const Pending& p : chunk) (*results)[p.index] = status;
           } else {
-            rpc::Reader r(reply);
+            wire::Reader r(reply);
             const std::uint32_t n = r.u32();
             std::size_t i = 0;
             for (; i < chunk.size() && i < n && r.ok(); ++i) {
@@ -781,7 +781,7 @@ void CatalogClient::search(
     done(*cached);
     return;
   }
-  rpc::Writer w;
+  wire::Writer w;
   w.str(collection);
   w.str(filter);
   std::weak_ptr<bool> alive = alive_;
@@ -792,7 +792,7 @@ void CatalogClient::search(
                 done(status);
                 return;
               }
-              rpc::Reader r(reply);
+              wire::Reader r(reply);
               const std::uint32_t n = r.u32();
               std::vector<ReplicaInfo> out;
               out.reserve(n);
@@ -812,7 +812,7 @@ void CatalogClient::search(
 void CatalogClient::list_collection(
     const std::string& collection,
     std::function<void(Result<std::vector<LogicalFileName>>)> done) {
-  rpc::Writer w;
+  wire::Writer w;
   w.str(collection);
   rpc_.call("rc.list", w.take(),
             [done = std::move(done)](Status status,
@@ -821,7 +821,7 @@ void CatalogClient::list_collection(
                 done(status);
                 return;
               }
-              rpc::Reader r(reply);
+              wire::Reader r(reply);
               const std::uint32_t n = r.u32();
               std::vector<LogicalFileName> out;
               out.reserve(n);

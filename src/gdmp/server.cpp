@@ -199,7 +199,7 @@ void GdmpServer::publish(std::vector<PublishedFile> files, PublishDone done) {
 }
 
 void GdmpServer::notify_subscribers(const std::vector<PublishedFile>& files) {
-  rpc::Writer w;
+  wire::Writer w;
   w.str(site_.site_name);
   w.u32(static_cast<std::uint32_t>(files.size()));
   for (const PublishedFile& file : files) encode_published_file(w, file);
@@ -222,7 +222,7 @@ void GdmpServer::notify_subscribers(const std::vector<PublishedFile>& files) {
 
 void GdmpServer::subscribe_to(net::NodeId producer, net::Port producer_port,
                               std::function<void(Status)> done) {
-  rpc::Writer w;
+  wire::Writer w;
   w.str(site_.site_name);
   w.u32(static_cast<std::uint32_t>(site_.node_id()));
   w.u16(config_.server_port);
@@ -356,7 +356,7 @@ void GdmpServer::replicate(const LogicalFileName& lfn,
           // Ask the source GDMP server to stage the file to its disk pool
           // ("the GDMP server then informs the remote site when the file is
           // present locally on disk", §4.4).
-          rpc::Writer w;
+          wire::Writer w;
           w.str(source.path);
           peer(src_node, config_.server_port)
               .call(kMethodStage, w.take(),
@@ -396,7 +396,7 @@ void GdmpServer::finish_replication(const LogicalFileName& lfn,
                                     Result<gridftp::TransferResult> transfer,
                                     ReplicateDone done) {
   // Always release the pin we asked the source to take.
-  rpc::Writer w;
+  wire::Writer w;
   w.str(source.path);
   peer(source_node, config_.server_port)
       .call("gdmp.release", w.take(),
@@ -486,7 +486,7 @@ void GdmpServer::fetch_remote_catalog(
                 done(status);
                 return;
               }
-              rpc::Reader r(reply);
+              wire::Reader r(reply);
               const std::uint32_t n = r.u32();
               std::vector<PublishedFile> out;
               out.reserve(n);
@@ -507,7 +507,7 @@ void GdmpServer::handle_subscribe(const security::GsiContext& peer_ctx,
     respond(auth, {});
     return;
   }
-  rpc::Reader r(params);
+  wire::Reader r(params);
   SubscriberInfo info;
   info.site = r.str();
   info.node = static_cast<net::NodeId>(r.u32());
@@ -530,7 +530,7 @@ void GdmpServer::handle_unsubscribe(const security::GsiContext& peer_ctx,
     respond(auth, {});
     return;
   }
-  rpc::Reader r(params);
+  wire::Reader r(params);
   SubscriberInfo info;
   info.site = r.str();
   subscribers_.erase(info);
@@ -545,7 +545,7 @@ void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
     respond(auth, {});
     return;
   }
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string from_site = r.str();
   const std::uint32_t n = r.u32();
   std::vector<PublishedFile> files;
@@ -594,7 +594,7 @@ void GdmpServer::handle_get_catalog(const security::GsiContext& peer_ctx,
     respond(auth, {});
     return;
   }
-  rpc::Writer w;
+  wire::Writer w;
   w.u32(static_cast<std::uint32_t>(export_catalog_.size()));
   for (const auto& [lfn, file] : export_catalog_) {
     encode_published_file(w, file);
@@ -610,7 +610,7 @@ void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
     respond(auth, {});
     return;
   }
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   if (!r.ok()) {
     respond(make_error(ErrorCode::kInvalidArgument, "malformed stage"), {});
@@ -626,7 +626,7 @@ void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
 
 void GdmpServer::handle_release(std::span<const std::uint8_t> params,
                                 Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   storage_manager_.unpin(path);
   respond(Status::ok(), {});
@@ -640,7 +640,7 @@ void GdmpServer::handle_delete(const security::GsiContext& peer_ctx,
     respond(auth, {});
     return;
   }
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const LogicalFileName lfn = r.str();
   const std::string local_path = local_path_for(lfn);
   if (site_.federation != nullptr &&

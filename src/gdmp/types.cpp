@@ -2,7 +2,7 @@
 
 namespace gdmp::core {
 
-void encode_published_file(rpc::Writer& w, const PublishedFile& file) {
+void encode_published_file(wire::Writer& w, const PublishedFile& file) {
   w.str(file.lfn);
   w.str(file.local_path);
   w.i64(file.size);
@@ -17,7 +17,7 @@ void encode_published_file(rpc::Writer& w, const PublishedFile& file) {
   }
 }
 
-PublishedFile decode_published_file(rpc::Reader& r) {
+PublishedFile decode_published_file(wire::Reader& r) {
   PublishedFile file;
   file.lfn = r.str();
   file.local_path = r.str();

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/wire.h"
 #include "gridftp/client.h"
 #include "net/packet.h"
-#include "rpc/serialize.h"
 
 namespace gdmp::core {
 
@@ -26,8 +26,8 @@ struct PublishedFile {
   std::map<std::string, std::string> extra;
 };
 
-void encode_published_file(rpc::Writer& w, const PublishedFile& file);
-PublishedFile decode_published_file(rpc::Reader& r);
+void encode_published_file(wire::Writer& w, const PublishedFile& file);
+PublishedFile decode_published_file(wire::Reader& r);
 
 /// GDMP site configuration.
 struct GdmpConfig {

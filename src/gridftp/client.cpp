@@ -11,7 +11,7 @@ namespace gdmp::gridftp {
 namespace {
 
 /// Encodes the {count, (offset, length)...} range list of RETR and FGET.
-void write_ranges(rpc::Writer& w, const std::vector<ByteRange>& ranges) {
+void write_ranges(wire::Writer& w, const std::vector<ByteRange>& ranges) {
   w.u32(static_cast<std::uint32_t>(ranges.size()));
   for (const ByteRange& range : ranges) {
     w.i64(range.offset);
@@ -214,7 +214,7 @@ void FtpClient::get(net::NodeId server, net::Port control_port,
 
   std::weak_ptr<bool> alive = alive_;
   // Resolve the file size first (needed for open-ended ranges and bounds).
-  rpc::Writer w;
+  wire::Writer w;
   w.str(remote_path);
   transfer->rpc->call(
       kCmdSize, w.take(),
@@ -225,7 +225,7 @@ void FtpClient::get(net::NodeId server, net::Port control_port,
           complete(transfer, status);
           return;
         }
-        rpc::Reader r(reply);
+        wire::Reader r(reply);
         transfer->file_size = r.i64();
         ByteRange range = transfer->options.range;
         if (range.length < 0) range.length = transfer->file_size - range.offset;
@@ -268,7 +268,7 @@ void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
   }
   std::weak_ptr<bool> alive = alive_;
 
-  rpc::Writer sbuf;
+  wire::Writer sbuf;
   sbuf.i64(transfer->options.tcp_buffer);
   transfer->rpc->call(
       "SBUF", sbuf.take(),
@@ -278,7 +278,7 @@ void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
           complete(transfer, status);
           return;
         }
-        rpc::Writer pasv;
+        wire::Writer pasv;
         pasv.u32(static_cast<std::uint32_t>(
             transfer->options.parallel_streams));
         transfer->rpc->call(
@@ -290,7 +290,7 @@ void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
                 complete(transfer, pasv_status);
                 return;
               }
-              rpc::Reader r(reply);
+              wire::Reader r(reply);
               transfer->data_port = r.u16();
               transfer->token = r.u64();
               open_streams(transfer, [this, alive, transfer] {
@@ -307,7 +307,7 @@ void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
 
 void FtpClient::send_retr(const std::shared_ptr<Transfer>& transfer) {
   std::weak_ptr<bool> alive = alive_;
-  rpc::Writer retr;
+  wire::Writer retr;
   retr.u64(transfer->token);
   retr.str(transfer->remote_path);
   write_ranges(retr, transfer->attempt_ranges);
@@ -385,7 +385,7 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
       DataHello hello;
       hello.session_token = transfer->token;
       hello.stream_index = static_cast<std::uint16_t>(i);
-      rpc::Writer w;
+      wire::Writer w;
       hello.encode(w);
       conn->send(w.take());
       if (++*established == n && *ready) {
@@ -469,7 +469,7 @@ void FtpClient::send_fget(const std::shared_ptr<Transfer>& transfer) {
   // the ranges, charges the source disk read, and returns the content
   // identity per stripe (a poisoned stripe seed is the fluid analogue of a
   // corrupted wire block — the shared verification path re-requests it).
-  rpc::Writer w;
+  wire::Writer w;
   w.str(transfer->remote_path);
   w.u32(static_cast<std::uint32_t>(transfer->options.parallel_streams));
   write_ranges(w, transfer->attempt_ranges);
@@ -481,7 +481,7 @@ void FtpClient::send_fget(const std::shared_ptr<Transfer>& transfer) {
           finish_get_attempt(transfer, std::move(status), reply);
           return;
         }
-        rpc::Reader r(reply);
+        wire::Reader r(reply);
         (void)r.i64();  // total bytes; re-read by finish_get_attempt
         (void)r.u32();  // server CRC; re-read by finish_get_attempt
         const std::uint32_t stripes = r.u32();
@@ -563,7 +563,7 @@ void FtpClient::finish_flows(const std::shared_ptr<Transfer>& transfer) {
   // destination disk write and replies with the stored CRC, which
   // finish_put_attempt verifies as after a STOR).
   std::weak_ptr<bool> alive = alive_;
-  rpc::Writer commit;
+  wire::Writer commit;
   commit.str(transfer->remote_path);
   commit.i64(transfer->file_size);
   commit.u64(transfer->source_seed);
@@ -589,7 +589,7 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
     retry_or_fail(transfer, std::move(missing), status);
     return;
   }
-  rpc::Reader r(reply);
+  wire::Reader r(reply);
   (void)r.i64();  // bytes reported by server
   const std::uint32_t server_crc = r.u32();
   if (transfer->attempts == 1) {
@@ -725,7 +725,7 @@ void FtpClient::put(net::NodeId server, net::Port control_port,
 void FtpClient::send_stor(const std::shared_ptr<Transfer>& transfer) {
   std::weak_ptr<bool> alive = alive_;
   // Issue STOR, then stream the blocks.
-  rpc::Writer stor;
+  wire::Writer stor;
   stor.u64(transfer->token);
   stor.str(transfer->remote_path);
   stor.i64(transfer->file_size);
@@ -745,7 +745,7 @@ void FtpClient::send_stor(const std::shared_ptr<Transfer>& transfer) {
       header.offset = parts[i].offset;
       header.length = parts[i].length;
       header.content_seed = transfer->source_seed;
-      rpc::Writer w;
+      wire::Writer w;
       header.encode(w);
       conn->send(w.take());
       conn->send_synthetic(parts[i].length);
@@ -755,7 +755,7 @@ void FtpClient::send_stor(const std::shared_ptr<Transfer>& transfer) {
     }
     BlockHeader eod;
     eod.offset = -1;
-    rpc::Writer w;
+    wire::Writer w;
     eod.encode(w);
     conn->send(w.take());
   }
@@ -768,7 +768,7 @@ void FtpClient::finish_put_attempt(const std::shared_ptr<Transfer>& transfer,
     retry_or_fail(transfer, transfer->requested, status);
     return;
   }
-  rpc::Reader r(reply);
+  wire::Reader r(reply);
   const std::uint32_t remote_crc = r.u32();
   if (remote_crc != transfer->source_crc) {
     retry_or_fail(transfer, transfer->requested,
@@ -887,7 +887,7 @@ void FtpClient::third_party(net::NodeId source, net::Port source_port,
                             net::Port dest_port, const std::string& dest_path,
                             const TransferOptions& options, Done done) {
   auto rpc = make_control_rpc(source, source_port, options.rpc_timeout);
-  rpc::Writer w;
+  wire::Writer w;
   w.str(path);
   w.u32(static_cast<std::uint32_t>(dest));
   w.u16(dest_port);
@@ -909,7 +909,7 @@ void FtpClient::third_party(net::NodeId source, net::Port source_port,
                    done(status);
                    return;
                  }
-                 rpc::Reader r(reply);
+                 wire::Reader r(reply);
                  TransferResult result;
                  result.bytes = r.i64();
                  result.crc = r.u32();
@@ -924,7 +924,7 @@ void FtpClient::file_size(net::NodeId server, net::Port port,
                           const std::string& path,
                           std::function<void(Result<Bytes>)> done) {
   auto rpc = make_control_rpc(server, port, 60 * kSecond);
-  rpc::Writer w;
+  wire::Writer w;
   w.str(path);
   (*rpc)->call(kCmdSize, w.take(),
                [rpc, done = std::move(done)](Status status,
@@ -934,7 +934,7 @@ void FtpClient::file_size(net::NodeId server, net::Port port,
                    done(status);
                    return;
                  }
-                 rpc::Reader r(reply);
+                 wire::Reader r(reply);
                  done(r.i64());
                });
 }
@@ -943,7 +943,7 @@ void FtpClient::checksum(net::NodeId server, net::Port port,
                          const std::string& path,
                          std::function<void(Result<std::uint32_t>)> done) {
   auto rpc = make_control_rpc(server, port, 60 * kSecond);
-  rpc::Writer w;
+  wire::Writer w;
   w.str(path);
   (*rpc)->call(kCmdChecksum, w.take(),
                [rpc, done = std::move(done)](Status status,
@@ -953,7 +953,7 @@ void FtpClient::checksum(net::NodeId server, net::Port port,
                    done(status);
                    return;
                  }
-                 rpc::Reader r(reply);
+                 wire::Reader r(reply);
                  done(r.u32());
                });
 }
@@ -962,7 +962,7 @@ void FtpClient::remove_remote(net::NodeId server, net::Port port,
                               const std::string& path,
                               std::function<void(Status)> done) {
   auto rpc = make_control_rpc(server, port, 60 * kSecond);
-  rpc::Writer w;
+  wire::Writer w;
   w.str(path);
   (*rpc)->call(kCmdDelete, w.take(),
                [rpc, done = std::move(done)](Status status,

@@ -2,7 +2,7 @@
 
 namespace gdmp::gridftp {
 
-void DataHello::encode(rpc::Writer& w) const {
+void DataHello::encode(wire::Writer& w) const {
   w.u64(session_token);
   w.u16(stream_index);
 }
@@ -10,7 +10,7 @@ void DataHello::encode(rpc::Writer& w) const {
 std::optional<DataHello> DataHello::decode(
     std::span<const std::uint8_t> data) {
   if (data.size() < kWireSize) return std::nullopt;
-  rpc::Reader r(data.subspan(0, kWireSize));
+  wire::Reader r(data.subspan(0, kWireSize));
   DataHello hello;
   hello.session_token = r.u64();
   hello.stream_index = r.u16();
@@ -18,7 +18,7 @@ std::optional<DataHello> DataHello::decode(
   return hello;
 }
 
-void BlockHeader::encode(rpc::Writer& w) const {
+void BlockHeader::encode(wire::Writer& w) const {
   w.i64(offset);
   w.i64(length);
   w.u64(content_seed);
@@ -27,7 +27,7 @@ void BlockHeader::encode(rpc::Writer& w) const {
 std::optional<BlockHeader> BlockHeader::decode(
     std::span<const std::uint8_t> data) {
   if (data.size() < kWireSize) return std::nullopt;
-  rpc::Reader r(data.subspan(0, kWireSize));
+  wire::Reader r(data.subspan(0, kWireSize));
   BlockHeader header;
   header.offset = r.i64();
   header.length = r.i64();

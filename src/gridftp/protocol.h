@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "rpc/serialize.h"
+#include "common/wire.h"
 
 namespace gdmp::gridftp {
 
@@ -53,7 +53,7 @@ struct DataHello {
   std::uint16_t stream_index = 0;
 
   static constexpr std::size_t kWireSize = 10;
-  void encode(rpc::Writer& w) const;
+  void encode(wire::Writer& w) const;
   static std::optional<DataHello> decode(std::span<const std::uint8_t> data);
 };
 
@@ -65,7 +65,7 @@ struct BlockHeader {
 
   static constexpr std::size_t kWireSize = 24;
   bool is_eod() const noexcept { return offset < 0; }
-  void encode(rpc::Writer& w) const;
+  void encode(wire::Writer& w) const;
   static std::optional<BlockHeader> decode(
       std::span<const std::uint8_t> data);
 };

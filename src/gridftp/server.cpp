@@ -12,7 +12,7 @@ namespace {
 constexpr SimDuration kSessionIdleTimeout = 3600 * kSecond;
 
 /// Decodes the {count, (offset, length)...} range list of RETR and FGET.
-std::vector<ByteRange> read_ranges(rpc::Reader& r) {
+std::vector<ByteRange> read_ranges(wire::Reader& r) {
   const std::uint32_t n_ranges = r.u32();
   std::vector<ByteRange> ranges;
   ranges.reserve(std::min<std::uint32_t>(n_ranges, 4096));
@@ -190,7 +190,7 @@ void FtpServer::stop() { rpc_.stop(); }
 void FtpServer::handle_sbuf(std::uint64_t session_id,
                             std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const Bytes buffer = r.i64();
   if (!r.ok() || buffer <= 0 || buffer > config_.max_data_buffer) {
     respond(make_error(ErrorCode::kInvalidArgument,
@@ -205,7 +205,7 @@ void FtpServer::handle_sbuf(std::uint64_t session_id,
 void FtpServer::handle_pasv(std::uint64_t session_id,
                             std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const int streams = static_cast<int>(r.u32());
   if (!r.ok() || streams < 1 || streams > config_.max_parallel_streams) {
     respond(make_error(ErrorCode::kInvalidArgument,
@@ -249,7 +249,7 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
       });
   sessions_.emplace(session->token, session);
 
-  rpc::Writer w;
+  wire::Writer w;
   w.u16(session->data_port);
   w.u64(session->token);
   respond(Status::ok(), w.take());
@@ -371,7 +371,7 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
 
 void FtpServer::handle_retr(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::uint64_t token = r.u64();
   const std::string path = r.str();
   std::vector<ByteRange> ranges = read_ranges(r);
@@ -434,7 +434,7 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
       header.offset = range.offset;
       header.length = range.length;
       header.content_seed = served_seed(session->retr.seed);
-      rpc::Writer w;
+      wire::Writer w;
       header.encode(w);
       stream->conn->send(w.take());
       stream->conn->send_synthetic(range.length);
@@ -447,7 +447,7 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
     // End-of-data marker.
     BlockHeader eod;
     eod.offset = -1;
-    rpc::Writer w;
+    wire::Writer w;
     eod.encode(w);
     stream->conn->send(w.take());
 
@@ -471,7 +471,7 @@ void FtpServer::finish_retr_stream(
   if (session->retr.drained < session->expected_streams) return;
   session->retr.active = false;
   (void)pool_.unpin(session->retr.path);
-  rpc::Writer w;
+  wire::Writer w;
   w.i64(session->retr.total);
   w.u32(session->retr.crc);
   auto respond = std::move(session->retr.respond);
@@ -481,7 +481,7 @@ void FtpServer::finish_retr_stream(
 
 void FtpServer::handle_stor(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::uint64_t token = r.u64();
   const std::string path = r.str();
   const Bytes total = r.i64();
@@ -542,42 +542,42 @@ void FtpServer::check_stor_complete(
 
 void FtpServer::handle_size(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   auto file = pool_.peek(path);
   if (!file.is_ok()) {
     respond(file.status(), {});
     return;
   }
-  rpc::Writer w;
+  wire::Writer w;
   w.i64(file->size);
   respond(Status::ok(), w.take());
 }
 
 void FtpServer::handle_cksm(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   auto file = pool_.peek(path);
   if (!file.is_ok()) {
     respond(file.status(), {});
     return;
   }
-  rpc::Writer w;
+  wire::Writer w;
   w.u32(file->crc());
   respond(Status::ok(), w.take());
 }
 
 void FtpServer::handle_dele(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   respond(pool_.remove(path), {});
 }
 
 void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   const auto dest_node = static_cast<net::NodeId>(r.u32());
   const auto dest_port = static_cast<net::Port>(r.u16());
@@ -604,7 +604,7 @@ void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
                   respond(result.status(), {});
                   return;
                 }
-                rpc::Writer w;
+                wire::Writer w;
                 w.i64(result->bytes);
                 w.u32(result->crc);
                 respond(Status::ok(), w.take());
@@ -613,7 +613,7 @@ void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
 
 void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   int streams = static_cast<int>(r.u32());
   std::vector<ByteRange> ranges = read_ranges(r);
@@ -642,7 +642,7 @@ void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
   // the restart machinery is identical on both transfer models. The stripe
   // layout is stripe_ranges(), the same partition the client derives.
   const auto per_stream = stripe_ranges(ranges, streams);
-  rpc::Writer w;
+  wire::Writer w;
   w.i64(total);
   w.u32(read->crc);
   w.u32(static_cast<std::uint32_t>(per_stream.size()));
@@ -658,7 +658,7 @@ void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
 
 void FtpServer::handle_fput(std::uint64_t, std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::string path = r.str();
   const Bytes total = r.i64();
   const std::uint64_t seed = r.u64();
@@ -711,7 +711,7 @@ void FtpServer::commit_file(const std::string& path, Bytes size,
     return;
   }
   pool_.disk().write(size, [] {});
-  rpc::Writer w;
+  wire::Writer w;
   w.u32(crc32_synthetic(seed, 0, size));
   respond(Status::ok(), w.take());
 }

@@ -47,7 +47,7 @@ IndexSnapshot snapshot_catalog(const objstore::ObjectFileCatalog& catalog,
   return snapshot;
 }
 
-void encode_snapshot(rpc::Writer& w, const IndexSnapshot& snapshot) {
+void encode_snapshot(wire::Writer& w, const IndexSnapshot& snapshot) {
   w.u64(snapshot.generation);
   w.u32(static_cast<std::uint32_t>(snapshot.ranges.size()));
   for (const auto& entry : snapshot.ranges) {
@@ -64,7 +64,7 @@ void encode_snapshot(rpc::Writer& w, const IndexSnapshot& snapshot) {
   }
 }
 
-IndexSnapshot decode_snapshot(rpc::Reader& r) {
+IndexSnapshot decode_snapshot(wire::Reader& r) {
   IndexSnapshot snapshot;
   snapshot.generation = r.u64();
   const std::uint32_t ranges = r.u32();

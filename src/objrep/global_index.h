@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/wire.h"
 #include "objstore/object_file_catalog.h"
-#include "rpc/serialize.h"
 
 namespace gdmp::objrep {
 
@@ -40,8 +40,8 @@ struct IndexSnapshot {
 
 IndexSnapshot snapshot_catalog(const objstore::ObjectFileCatalog& catalog,
                                std::uint64_t generation);
-void encode_snapshot(rpc::Writer& w, const IndexSnapshot& snapshot);
-IndexSnapshot decode_snapshot(rpc::Reader& r);
+void encode_snapshot(wire::Writer& w, const IndexSnapshot& snapshot);
+IndexSnapshot decode_snapshot(wire::Reader& r);
 
 /// Where an object can be fetched from.
 struct RemoteObject {

@@ -124,7 +124,7 @@ void ObjectReplicationService::handle_get_index(Respond respond) {
   const IndexSnapshot snapshot =
       snapshot_catalog(server_.site().federation->catalog(),
                        /*generation=*/server_.stats().files_published + 1);
-  rpc::Writer w;
+  wire::Writer w;
   encode_snapshot(w, snapshot);
   respond(Status::ok(), w.take());
 }
@@ -146,7 +146,7 @@ void ObjectReplicationService::refresh_index_from(
           done(status);
           return;
         }
-        rpc::Reader r(reply);
+        wire::Reader r(reply);
         index_.update_site(site, decode_snapshot(r));
         done(Status::ok());
       });
@@ -156,7 +156,7 @@ void ObjectReplicationService::refresh_index_from(
 
 void ObjectReplicationService::handle_pack(
     std::span<const std::uint8_t> params, Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   auto job = std::make_shared<PackJob>();
   job->request_id = r.u64();
   job->dest_node = static_cast<net::NodeId>(r.u32());
@@ -211,7 +211,7 @@ void ObjectReplicationService::handle_pack(
         job->buffered.clear();
         job->finished = true;
         job->final_status = status;
-        rpc::Writer w;
+        wire::Writer w;
         w.u64(job->request_id);
         w.u8(static_cast<std::uint8_t>(status.code()));
         w.str(status.message());
@@ -226,7 +226,7 @@ void ObjectReplicationService::send_chunk(
     const std::shared_ptr<PackJob>& job, const objstore::PackedOutput& chunk) {
   ++stats_.chunks_sent;
   stats_.bytes_packed += chunk.file.size;
-  rpc::Writer w;
+  wire::Writer w;
   w.u64(job->request_id);
   w.str(chunk.file.path);
   w.i64(chunk.file.size);
@@ -245,7 +245,7 @@ void ObjectReplicationService::send_chunk(
 
 void ObjectReplicationService::handle_chunk_ack(
     std::span<const std::uint8_t> params, Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   (void)r.u64();  // request id (temporaries are uniquely named)
   const std::string path = r.str();
   // "As a final step, the new file can be deleted at the source site."
@@ -328,7 +328,7 @@ void ObjectReplicationService::start_site_request(
   sub->parent = request;
   sub_requests_[sub->id] = sub;
 
-  rpc::Writer w;
+  wire::Writer w;
   w.u64(sub->id);
   w.u32(static_cast<std::uint32_t>(server_.site().node_id()));
   w.u16(server_.config().server_port);
@@ -351,7 +351,7 @@ void ObjectReplicationService::start_site_request(
 
 void ObjectReplicationService::handle_chunk(
     std::span<const std::uint8_t> params, Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::uint64_t request_id = r.u64();
   const std::string remote_path = r.str();
   const Bytes size = r.i64();
@@ -430,7 +430,7 @@ void ObjectReplicationService::pull_chunk(
           server_.publish({file}, [](Status) {});
         }
         // Step 6: tell the source it can delete the temporary.
-        rpc::Writer w;
+        wire::Writer w;
         w.u64(sub->id);
         w.str(remote_path);
         server_.peer(sub->node, sub->port)
@@ -443,7 +443,7 @@ void ObjectReplicationService::pull_chunk(
 
 void ObjectReplicationService::handle_pack_done(
     std::span<const std::uint8_t> params, Respond respond) {
-  rpc::Reader r(params);
+  wire::Reader r(params);
   const std::uint64_t request_id = r.u64();
   const auto code = static_cast<ErrorCode>(r.u8());
   const std::string message = r.str();

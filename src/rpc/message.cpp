@@ -2,12 +2,12 @@
 
 #include <cstring>
 
-#include "rpc/serialize.h"
+#include "common/wire.h"
 
 namespace gdmp::rpc {
 
 std::vector<std::uint8_t> encode_frame(const RpcMessage& message) {
-  Writer body;
+  wire::Writer body;
   body.u8(static_cast<std::uint8_t>(message.kind));
   body.u64(message.request_id);
   body.str(message.method);
@@ -15,7 +15,7 @@ std::vector<std::uint8_t> encode_frame(const RpcMessage& message) {
   body.str(message.status_message);
   body.bytes(message.payload);
 
-  Writer frame;
+  wire::Writer frame;
   frame.u32(static_cast<std::uint32_t>(body.size()));
   auto out = frame.take();
   const auto& inner = body.buffer();
@@ -42,7 +42,7 @@ Status FrameDecoder::feed(std::span<const std::uint8_t> data,
       break;
     }
     if (buffer_.size() - cursor - 4 < length) break;
-    Reader r(std::span<const std::uint8_t>(buffer_.data() + cursor + 4,
+    wire::Reader r(std::span<const std::uint8_t>(buffer_.data() + cursor + 4,
                                            length));
     RpcMessage message;
     message.kind = static_cast<MessageKind>(r.u8());

@@ -58,38 +58,11 @@ Grid::Grid(GridConfig config)
     }
 
     if (spec.cross_traffic > 0) {
-      if (flow_engine_) {
-        // Fluid analogue of the CBR pair: a pinned (unresponsive) flow in
-        // each direction takes `cross_traffic` off the uplink with zero
-        // per-packet events. Unbounded, so they never complete.
-        for (const auto& [src, dst] :
-             {std::pair{topology_.hosts[i], topology_.core},
-              std::pair{topology_.core, topology_.hosts[i]}}) {
-          flow::FlowSpec cross;
-          cross.src = src->id();
-          cross.dst = dst->id();
-          cross.bytes = flow::kUnboundedBytes;
-          cross.pinned_rate = spec.cross_traffic;
-          (void)flow_engine_->start(cross, [](const flow::FlowDone&) {});
-        }
-      } else {
-        // Shared production link: constant-bit-rate background in both
-        // directions of the site uplink (`cross_traffic` each way).
-        net::CbrConfig cbr;
-        cbr.rate = spec.cross_traffic;
-        cross_sinks_.push_back(
-            std::make_unique<net::DatagramSink>(*topology_.hosts[i]));
-        auto up = std::make_unique<net::CbrSource>(
-            network_, *topology_.hosts[i], *topology_.core, cbr,
-            config_.seed ^ (0x1111ULL * (i + 1)));
-        auto down = std::make_unique<net::CbrSource>(
-            network_, *topology_.core, *topology_.hosts[i], cbr,
-            config_.seed ^ (0x2222ULL * (i + 1)));
-        up->start();
-        down->start();
-        cross_sources_.push_back(std::move(up));
-        cross_sources_.push_back(std::move(down));
-      }
+      // Shared production link: `cross_traffic` each way on the site uplink.
+      cross_traffic_.emplace_back(
+          network_, flow_engine_.get(), *topology_.hosts[i], *topology_.core,
+          spec.cross_traffic, config_.seed ^ (0x1111ULL * (i + 1)),
+          config_.seed ^ (0x2222ULL * (i + 1)));
     }
   }
 

@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "flow/cross_traffic.h"
 #include "flow/flow_engine.h"
 #include "gdmp/catalog_service.h"
-#include "net/cross_traffic.h"
 #include "net/topology.h"
 #include "obs/heartbeat.h"
 #include "testbed/site.h"
@@ -116,8 +116,7 @@ class Grid {
   std::unique_ptr<net::TcpStack> catalog_stack_;
   std::unique_ptr<core::CatalogServer> catalog_server_;
   std::vector<std::unique_ptr<Site>> sites_;
-  std::vector<std::unique_ptr<net::CbrSource>> cross_sources_;
-  std::vector<std::unique_ptr<net::DatagramSink>> cross_sinks_;
+  std::vector<flow::CrossTraffic> cross_traffic_;
 
   /// Fluid-model uplink instruments (the packet model publishes through
   /// net::Link::sample_utilization instead).

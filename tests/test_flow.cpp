@@ -4,16 +4,24 @@
 // where the fluid model must track the packet model within tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "bench_util.h"
 #include "common/crc32.h"
+#include "common/random.h"
+#include "counting_callback.h"
 #include "flow/fair_share.h"
 #include "flow/flow_engine.h"
 #include "gridftp/client.h"
 #include "gridftp/server.h"
 #include "net/topology.h"
 #include "obs/channel.h"
+#include "obs/metrics.h"
 #include "storage/disk.h"
 #include "storage/disk_pool.h"
 
@@ -286,6 +294,36 @@ TEST(FlowEngine, ChurnRenegotiatesOnlyTouchedLinks) {
   EXPECT_EQ(engine.stats().flows_recomputed - flows_before, 2);
 }
 
+TEST(FlowEngine, RegistryCountsClassesPerRenegotiation) {
+  // Three flows on one path form two rate classes (windowed and not); the
+  // registry mirrors the stats, and classes count the closure's classes
+  // while flows_recomputed counts the flows they cover.
+  PairNet net;
+  FlowEngine engine(net.simulator, net.network);
+  obs::MetricsRegistry registry;
+  engine.set_metrics(registry.scope("flow"));
+  FlowSpec spec;
+  spec.src = net.a->id();
+  spec.dst = net.b->id();
+  spec.bytes = 10 * kGiB;
+  (void)engine.start(spec, [](const FlowDone&) {});
+  (void)engine.start(spec, [](const FlowDone&) {});
+  spec.window = 64 * kKiB;
+  (void)engine.start(spec, [](const FlowDone&) {});
+  net.simulator.run_until(1 * kSecond);
+
+  const FlowEngineStats& stats = engine.stats();
+  EXPECT_EQ(stats.renegotiations, 1);
+  EXPECT_EQ(stats.classes_recomputed, 2);
+  EXPECT_EQ(stats.flows_recomputed, 3);
+  EXPECT_EQ(registry.counter("flow.renegotiations").value(),
+            stats.renegotiations);
+  EXPECT_EQ(registry.counter("flow.links_recomputed").value(),
+            stats.links_recomputed);
+  EXPECT_EQ(registry.counter("flow.classes_recomputed").value(),
+            stats.classes_recomputed);
+}
+
 TEST(FlowEngine, LinkCapacityChangeRenegotiatesMidFlight) {
   PairNet net;
   FluidConfig config;
@@ -342,6 +380,469 @@ TEST(FlowEngine, TeardownMidFlightDropsWorkWithoutCallbacks) {
   net.simulator.run_until(60 * kSecond);
   EXPECT_FALSE(fired);  // teardown discipline: in-flight work is dropped
 }
+
+// ------------------------------------------- class-vs-flow equivalence
+
+/// Per-flow reference for the engine: the same dirty-link closure,
+/// fixed-load folding, bottleneck-driven expansion, slow-start deficit and
+/// ceil+1 ns completion rounding, but every flow is its own WaterFill entry
+/// with its own settle and its own completion event. The engine must
+/// reproduce it while solving, settling and scheduling per rate class.
+class PerFlowReference {
+ public:
+  using Done = std::function<void(const FlowDone&)>;
+
+  PerFlowReference(sim::Simulator& simulator, net::Network& network,
+                   FluidConfig config)
+      : simulator_(simulator), network_(network), config_(config) {}
+
+  int start(const FlowSpec& spec, Done done) {
+    std::vector<net::Link*> route;
+    if (!network_.path_links(spec.src, spec.dst, route) || route.empty()) {
+      return -1;
+    }
+    Flow flow;
+    flow.spec = spec;
+    flow.done = std::move(done);
+    flow.pinned = spec.pinned_rate > 0;
+    flow.remaining = static_cast<double>(spec.bytes);
+    flow.started = flow.settled_at = simulator_.now();
+    SimDuration one_way = 0;
+    for (net::Link* link : route) {
+      one_way += link->config().propagation;
+      flow.path.push_back(intern(link));
+    }
+    flow.rtt = std::max<SimDuration>(2 * one_way, kMicrosecond);
+    const double rtt_sec = to_seconds(flow.rtt);
+    const double ref_sec = to_seconds(config_.reference_rtt);
+    flow.weight = std::max(spec.weight, 1e-9) * ref_sec / rtt_sec;
+    flow.cap = spec.window > 0
+                   ? static_cast<double>(spec.window) * 8.0 / rtt_sec
+                   : std::numeric_limits<double>::infinity();
+    const int id = static_cast<int>(flows_.size());
+    flows_.push_back(std::move(flow));
+    for (const int li : flows_[id].path) {
+      if (flows_[id].pinned) {
+        links_[li].pinned += spec.pinned_rate * config_.efficiency;
+      } else {
+        links_[li].flows.push_back(id);
+      }
+      mark_dirty(li);
+    }
+    if (flows_[id].pinned) apply(id, spec.pinned_rate * config_.efficiency, -1);
+    schedule_renegotiation();
+    return id;
+  }
+
+  bool cancel(int id) {
+    if (!active(id)) return false;
+    settle(flows_[id]);
+    retire(id, false);
+    return true;
+  }
+
+  bool active(int id) const { return id >= 0 && flows_[id].active; }
+  double rate(int id) const { return active(id) ? flows_[id].rate : 0.0; }
+
+  Bytes transferred(int id) const {
+    if (!active(id)) return 0;
+    const Flow& flow = flows_[id];
+    const double dt = to_seconds(simulator_.now() - flow.settled_at);
+    const double left = flow.remaining - flow.rate * dt / 8.0;
+    return delivered(flow, std::max(left, 0.0));
+  }
+
+  void on_link_changed(const net::Link* link) {
+    const int li = intern(link);
+    links_[li].capacity = link->config().bandwidth * config_.efficiency;
+    mark_dirty(li);
+    schedule_renegotiation();
+  }
+
+ private:
+  struct Flow {
+    FlowSpec spec;
+    Done done;
+    bool active = true;
+    bool pinned = false;
+    bool rated = false;
+    bool in_closure = false;
+    double weight = 1.0;
+    double cap = 0.0;
+    double rate = 0.0;
+    double remaining = 0.0;
+    SimTime settled_at = 0;
+    SimTime started = 0;
+    SimDuration rtt = 0;
+    int bottleneck = -1;
+    std::vector<int> path;
+    sim::EventHandle completion;
+  };
+  struct Link {
+    const net::Link* link = nullptr;
+    double capacity = 0.0;
+    double pinned = 0.0;
+    std::vector<int> flows;  // active fair-share flows, start order
+    bool dirty = false;
+    int share_index = -1;
+  };
+
+  static Bytes delivered(const Flow& flow, double remaining) {
+    const double done = static_cast<double>(flow.spec.bytes) - remaining;
+    if (done <= 0.0) return 0;
+    if (done >= static_cast<double>(flow.spec.bytes)) return flow.spec.bytes;
+    return static_cast<Bytes>(done);
+  }
+
+  int intern(const net::Link* link) {
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      if (links_[i].link == link) return static_cast<int>(i);
+    }
+    Link state;
+    state.link = link;
+    state.capacity = link->config().bandwidth * config_.efficiency;
+    links_.push_back(state);
+    return static_cast<int>(links_.size() - 1);
+  }
+
+  void mark_dirty(int li) {
+    if (links_[li].dirty) return;
+    links_[li].dirty = true;
+    dirty_.push_back(li);
+  }
+
+  void schedule_renegotiation() {
+    if (reneg_pending_) return;
+    reneg_pending_ = true;
+    simulator_.schedule(config_.reneg_quantum, [this] { renegotiate(); });
+  }
+
+  void settle(Flow& flow) {
+    const SimTime now = simulator_.now();
+    if (now <= flow.settled_at) return;
+    const double moved = flow.rate * to_seconds(now - flow.settled_at) / 8.0;
+    flow.remaining -= std::min(moved, flow.remaining);
+    flow.settled_at = now;
+  }
+
+  void absorb(int li, std::vector<int>& closure) {
+    for (const int id : links_[li].flows) {
+      if (flows_[id].in_closure) continue;
+      flows_[id].in_closure = true;
+      closure.push_back(id);
+    }
+  }
+
+  void renegotiate() {
+    reneg_pending_ = false;
+    if (dirty_.empty()) return;
+    std::vector<int> closure;
+    std::vector<int> solve_links;
+    std::vector<ShareFlow> share_flows;
+    std::vector<ShareLink> share_links;
+    for (const int li : dirty_) {
+      links_[li].share_index = static_cast<int>(solve_links.size());
+      solve_links.push_back(li);
+    }
+    std::size_t absorbed_scan = 0;
+    std::size_t flow_scan = 0;
+    for (int round = 1;; ++round) {
+      for (; absorbed_scan < solve_links.size(); ++absorbed_scan) {
+        if (links_[solve_links[absorbed_scan]].dirty) {
+          absorb(solve_links[absorbed_scan], closure);
+        }
+      }
+      for (; flow_scan < closure.size(); ++flow_scan) {
+        for (const int li : flows_[closure[flow_scan]].path) {
+          if (links_[li].share_index >= 0) continue;
+          links_[li].share_index = static_cast<int>(solve_links.size());
+          solve_links.push_back(li);
+        }
+      }
+      share_links.assign(solve_links.size(), ShareLink{});
+      for (std::size_t i = 0; i < solve_links.size(); ++i) {
+        const Link& link = links_[solve_links[i]];
+        double fixed = link.pinned;
+        for (const int id : link.flows) {
+          if (!flows_[id].in_closure) fixed += flows_[id].rate;
+        }
+        share_links[i].capacity = link.capacity - fixed;
+      }
+      share_flows.assign(closure.size(), ShareFlow{});
+      std::vector<std::int32_t> membership;
+      for (std::size_t i = 0; i < closure.size(); ++i) {
+        const Flow& flow = flows_[closure[i]];
+        share_flows[i].weight = flow.weight;
+        share_flows[i].cap = flow.cap;
+        share_flows[i].link_begin =
+            static_cast<std::int32_t>(membership.size());
+        share_flows[i].link_count =
+            static_cast<std::int32_t>(flow.path.size());
+        for (const int li : flow.path) {
+          membership.push_back(links_[li].share_index);
+        }
+      }
+      WaterFill solver;
+      solver.solve(share_flows, share_links, membership, config_.min_rate);
+      if (round >= config_.max_rounds) break;
+      bool expanded = false;
+      for (std::size_t i = 0; i < solve_links.size(); ++i) {
+        Link& link = links_[solve_links[i]];
+        if (link.dirty) continue;
+        if (share_links[i].residual <= config_.slack_epsilon) continue;
+        const bool claimable = std::any_of(
+            link.flows.begin(), link.flows.end(), [&](int id) {
+              return !flows_[id].in_closure &&
+                     flows_[id].bottleneck == solve_links[i];
+            });
+        if (!claimable) continue;
+        link.dirty = true;
+        absorb(solve_links[i], closure);
+        expanded = true;
+      }
+      if (!expanded) break;
+    }
+    for (std::size_t i = 0; i < closure.size(); ++i) {
+      const int bottleneck = share_flows[i].bottleneck;
+      apply(closure[i], share_flows[i].rate,
+            bottleneck >= 0 ? solve_links[bottleneck] : -1);
+    }
+    for (const int li : solve_links) {
+      links_[li].share_index = -1;
+      links_[li].dirty = false;
+    }
+    for (const int id : closure) flows_[id].in_closure = false;
+    dirty_.clear();
+  }
+
+  void apply(int id, double rate, int bottleneck) {
+    Flow& flow = flows_[id];
+    settle(flow);
+    if (!flow.rated) {
+      flow.rated = true;
+      if (config_.model_slow_start && !flow.pinned &&
+          flow.spec.bytes < kUnboundedBytes) {
+        const double steady = std::min(
+            flow.spec.window > 0 ? static_cast<double>(flow.spec.window)
+                                 : std::numeric_limits<double>::infinity(),
+            rate * to_seconds(flow.rtt) / 8.0);
+        const double initial = static_cast<double>(config_.initial_window);
+        if (steady > initial) {
+          flow.remaining +=
+              steady * std::max(0.0, std::log2(steady / initial) - 2.0);
+        }
+      }
+    }
+    flow.rate = std::max(rate, static_cast<double>(config_.min_rate));
+    flow.bottleneck = bottleneck;
+    simulator_.cancel(flow.completion);
+    flow.completion = {};
+    const double ns = flow.remaining * 8.0 / flow.rate * 1e9;
+    if (!(ns < static_cast<double>(std::numeric_limits<SimTime>::max() / 4))) {
+      return;
+    }
+    flow.completion =
+        simulator_.schedule(static_cast<SimDuration>(ns) + 1, [this, id] {
+          settle(flows_[id]);
+          flows_[id].remaining = 0.0;
+          retire(id, true);
+        });
+  }
+
+  void retire(int id, bool ok) {
+    Flow& flow = flows_[id];
+    for (const int li : flow.path) {
+      if (flow.pinned) {
+        const double pinned = flow.spec.pinned_rate * config_.efficiency;
+        links_[li].pinned = std::max(links_[li].pinned - pinned, 0.0);
+      } else {
+        std::erase(links_[li].flows, id);
+      }
+      mark_dirty(li);
+    }
+    simulator_.cancel(flow.completion);
+    flow.completion = {};
+    flow.active = false;
+    FlowDone done;
+    done.ok = ok;
+    done.transferred = ok ? flow.spec.bytes : delivered(flow, flow.remaining);
+    done.started = flow.started;
+    done.finished = simulator_.now();
+    done.tag = flow.spec.tag;
+    Done callback = std::move(flow.done);
+    schedule_renegotiation();
+    callback(done);
+  }
+
+  sim::Simulator& simulator_;
+  net::Network& network_;
+  FluidConfig config_;
+  std::vector<Flow> flows_;
+  std::vector<Link> links_;
+  std::vector<int> dirty_;
+  bool reneg_pending_ = false;
+};
+
+// Property: over seeded random schedules on a small multi-site grid —
+// mixed weights and windows on shared paths (several classes per path and
+// per link), cancels mid-flight, capacity steps, pinned cross traffic and
+// unbounded flows — the class engine's rates, progress and completion
+// times match the per-flow reference, and every completion fires once.
+class FlowClassEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlowClassEquivalence, MatchesPerFlowReference) {
+  Rng rng(GetParam());
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  constexpr int kSites = 4;
+  std::vector<net::GridSiteLink> sites(kSites);
+  const BitsPerSec wan_rates[kSites] = {20 * kMbps, 45 * kMbps, 45 * kMbps,
+                                        100 * kMbps};
+  for (int i = 0; i < kSites; ++i) {
+    sites[i].site_name = "site" + std::to_string(i);
+    sites[i].wan.wan_bandwidth = wan_rates[i];
+    sites[i].wan.wan_one_way_delay = (5 + 10 * i) * kMillisecond;
+  }
+  const net::GridTopology topo = net::make_grid_topology(network, sites);
+  std::vector<net::Link*> wan_links;
+  for (int i = 0; i < kSites; ++i) {
+    wan_links.push_back(network.link_between(*topo.gateways[i], *topo.core));
+    wan_links.push_back(network.link_between(*topo.core, *topo.gateways[i]));
+  }
+
+  FluidConfig config;
+  config.reneg_quantum = rng.chance(0.5) ? 0 : 20 * kMillisecond;
+  FlowEngine engine(simulator, network, config);
+  PerFlowReference reference(simulator, network, config);
+
+  struct Tracked {
+    FlowId id;
+    int ref = -1;
+    double byte_slack = 1.0;  // progress tolerance (see launch)
+    FlowDone done;
+    FlowDone ref_done;
+    int ref_calls = 0;
+    gdmp::testing::CountingCallback calls;
+  };
+  constexpr int kOps = 160;
+  std::vector<Tracked> flows;
+  flows.reserve(kOps);
+
+  const auto launch = [&](const FlowSpec& spec) {
+    flows.emplace_back();
+    const std::size_t index = flows.size() - 1;
+    Tracked& t = flows[index];
+    // Progress is size - remaining in doubles. For an unbounded flow that
+    // is a 2^62-byte remainder with a 1 KiB ulp, and the reference rounds
+    // it again at every settle.
+    if (spec.bytes == kUnboundedBytes) t.byte_slack = 64.0 * kKiB;
+    const std::function<void(const FlowDone&)> record =
+        [&flows, index](const FlowDone& d) { flows[index].done = d; };
+    t.id = engine.start(spec, t.calls.wrap(record));
+    t.ref = reference.start(spec, [&flows, index](const FlowDone& d) {
+      flows[index].ref_done = d;
+      ++flows[index].ref_calls;
+    });
+    ASSERT_TRUE(t.id.valid());
+    ASSERT_GE(t.ref, 0);
+  };
+
+  const auto compare = [&] {
+    for (Tracked& t : flows) {
+      ASSERT_EQ(engine.active(t.id), reference.active(t.ref));
+      const double ref_rate = reference.rate(t.ref);
+      EXPECT_NEAR(engine.rate(t.id), ref_rate, 1e-9 * ref_rate + 1e-6);
+      EXPECT_NEAR(static_cast<double>(engine.transferred(t.id)),
+                  static_cast<double>(reference.transferred(t.ref)),
+                  t.byte_slack);
+    }
+  };
+
+  constexpr SimTime kHorizon = 20 * kSecond;
+  // Samples are scheduled first, so one sharing an instant with an op or an
+  // engine event sees both models before that instant's work.
+  for (int i = 0; i < 120; ++i) {
+    simulator.schedule_at(rng.uniform_int(0, kHorizon / kMillisecond) *
+                              kMillisecond,
+                          compare);
+  }
+  for (int op = 0; op < kOps; ++op) {
+    const SimTime at =
+        rng.uniform_int(0, kHorizon / kMillisecond - 1) * kMillisecond;
+    const double kind = rng.uniform();
+    if (kind < 0.55) {
+      FlowSpec spec;
+      const int src = static_cast<int>(rng.uniform_int(0, kSites - 1));
+      int dst = static_cast<int>(rng.uniform_int(0, kSites - 2));
+      if (dst >= src) ++dst;
+      spec.src = topo.hosts[src]->id();
+      spec.dst = topo.hosts[dst]->id();
+      spec.bytes = rng.chance(0.08) ? kUnboundedBytes
+                                    : rng.uniform_int(64 * kKiB, 6 * kMiB);
+      spec.weight = rng.chance(0.5) ? 1.0 : 2.0;
+      const Bytes windows[] = {0, 64 * kKiB, 256 * kKiB};
+      spec.window = windows[rng.uniform_int(0, 2)];
+      simulator.schedule_at(at, [&launch, spec] { launch(spec); });
+    } else if (kind < 0.65) {
+      // Pinned cross traffic between a site host and the core.
+      FlowSpec spec;
+      const int site = static_cast<int>(rng.uniform_int(0, kSites - 1));
+      const bool up = rng.chance(0.5);
+      spec.src = up ? topo.hosts[site]->id() : topo.core->id();
+      spec.dst = up ? topo.core->id() : topo.hosts[site]->id();
+      spec.pinned_rate = static_cast<double>(rng.uniform_int(1, 8)) * kMbps;
+      spec.bytes = rng.chance(0.5) ? kUnboundedBytes
+                                   : rng.uniform_int(256 * kKiB, 4 * kMiB);
+      simulator.schedule_at(at, [&launch, spec] { launch(spec); });
+    } else if (kind < 0.88) {
+      const std::uint64_t pick = rng.next();
+      simulator.schedule_at(at, [&flows, &engine, &reference, pick] {
+        if (flows.empty()) return;
+        Tracked& t = flows[pick % flows.size()];
+        EXPECT_EQ(engine.cancel(t.id), reference.cancel(t.ref));
+      });
+    } else {
+      net::Link* link = wan_links[rng.uniform_int(0, 2 * kSites - 1)];
+      const BitsPerSec steps[] = {10 * kMbps, 20 * kMbps, 45 * kMbps,
+                                  100 * kMbps};
+      const BitsPerSec bandwidth = steps[rng.uniform_int(0, 3)];
+      simulator.schedule_at(at, [&engine, &reference, link, bandwidth] {
+        link->set_bandwidth(bandwidth);
+        engine.on_link_changed(link);
+        reference.on_link_changed(link);
+      });
+    }
+  }
+
+  simulator.run_until(kHorizon);
+  // Unbounded flows never drain: cancel what is left, then run dry.
+  for (Tracked& t : flows) {
+    EXPECT_EQ(engine.cancel(t.id), reference.cancel(t.ref));
+  }
+  simulator.run();
+
+  EXPECT_EQ(engine.active_flows(), 0u);
+  std::int64_t completed = 0;
+  for (const Tracked& t : flows) {
+    EXPECT_TRUE(t.calls.exactly_once());
+    EXPECT_EQ(t.ref_calls, 1);
+    EXPECT_EQ(t.done.ok, t.ref_done.ok);
+    EXPECT_EQ(t.done.started, t.ref_done.started);
+    EXPECT_LE(std::llabs(t.done.finished - t.ref_done.finished), 1)
+        << "completion times differ by more than 1 ns";
+    EXPECT_NEAR(static_cast<double>(t.done.transferred),
+                static_cast<double>(t.ref_done.transferred), t.byte_slack);
+    completed += t.done.ok ? 1 : 0;
+  }
+  EXPECT_EQ(engine.stats().flows_completed, completed);
+  EXPECT_GT(completed, 0);
+  // Classes really aggregate: fewer class re-rates than flow re-rates.
+  EXPECT_LT(engine.stats().classes_recomputed,
+            engine.stats().flows_recomputed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowClassEquivalence,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // ------------------------------------------------------------ fluid GridFTP
 

@@ -104,7 +104,7 @@ TEST(Gdmp, UnsubscribeStopsNotifications) {
   ASSERT_TRUE(subscribed);
 
   // Unsubscribe via the RPC method directly.
-  rpc::Writer w;
+  wire::Writer w;
   w.str(grid.site(1).name());
   bool unsubscribed = false;
   grid.site(1)
@@ -175,7 +175,7 @@ TEST(Gdmp, DeleteFileRemovesReplicaEverywhere) {
   ASSERT_TRUE(replicated);
 
   // Ask the consumer's own server to delete its replica.
-  rpc::Writer w;
+  wire::Writer w;
   w.str(files[0].lfn);
   bool deleted = false;
   grid.site(0)

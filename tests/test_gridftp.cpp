@@ -47,7 +47,7 @@ TEST(Protocol, OpenEndedRangeUsesFileSize) {
 }
 
 TEST(Protocol, HeaderCodecs) {
-  rpc::Writer w;
+  wire::Writer w;
   BlockHeader header{1234, 5678, 0xfeedULL};
   header.encode(w);
   auto decoded = BlockHeader::decode(w.buffer());
@@ -56,7 +56,7 @@ TEST(Protocol, HeaderCodecs) {
   EXPECT_EQ(decoded->length, 5678);
   EXPECT_EQ(decoded->content_seed, 0xfeedULL);
 
-  rpc::Writer hw;
+  wire::Writer hw;
   DataHello hello{0xabcdULL, 3};
   hello.encode(hw);
   auto hello_decoded = DataHello::decode(hw.buffer());
@@ -74,16 +74,16 @@ TEST(BlockStream, ParsesHeaderPayloadSequence) {
   };
   parser.on_eod = [&] { eod = true; };
 
-  rpc::Writer w;
+  wire::Writer w;
   BlockHeader{0, 500, 1}.encode(w);
   parser.feed_data(w.buffer());
   parser.feed_synthetic(200);
   parser.feed_synthetic(300);
-  rpc::Writer w2;
+  wire::Writer w2;
   BlockHeader{500, 100, 1}.encode(w2);
   parser.feed_data(w2.buffer());
   parser.feed_synthetic(100);
-  rpc::Writer w3;
+  wire::Writer w3;
   BlockHeader eod_header;
   eod_header.offset = -1;
   eod_header.encode(w3);
@@ -99,7 +99,7 @@ TEST(BlockStream, FragmentedHeaderAccumulates) {
   BlockStreamParser parser;
   int begun = 0;
   parser.on_block_begin = [&](const BlockHeader&) { ++begun; };
-  rpc::Writer w;
+  wire::Writer w;
   BlockHeader{0, 10, 1}.encode(w);
   const auto& buffer = w.buffer();
   for (const std::uint8_t byte : buffer) {

@@ -96,10 +96,10 @@ TEST(GlobalIndex, SnapshotRoundTripsRangesAndPacked) {
       "/p", {make_object_id(Tier::kEsd, 3), make_object_id(Tier::kEsd, 999)},
       model);
   const IndexSnapshot snapshot = snapshot_catalog(catalog, 7);
-  rpc::Writer w;
+  wire::Writer w;
   encode_snapshot(w, snapshot);
   const auto buffer = w.take();
-  rpc::Reader r(buffer);
+  wire::Reader r(buffer);
   const IndexSnapshot decoded = decode_snapshot(r);
   EXPECT_EQ(decoded.generation, 7u);
   ASSERT_EQ(decoded.ranges.size(), 1u);

@@ -82,7 +82,7 @@ class CodecProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CodecProperty, WriterReaderRoundTrip) {
   Rng rng(GetParam());
   for (int round = 0; round < 50; ++round) {
-    rpc::Writer w;
+    wire::Writer w;
     struct Op {
       int kind;
       std::uint64_t value;
@@ -108,7 +108,7 @@ TEST_P(CodecProperty, WriterReaderRoundTrip) {
       ops.push_back(std::move(op));
     }
     const auto buffer = w.take();
-    rpc::Reader r(buffer);
+    wire::Reader r(buffer);
     for (const Op& op : ops) {
       switch (op.kind) {
         case 0:

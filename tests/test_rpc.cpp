@@ -1,10 +1,10 @@
 // Tests for serialization, framing and the GSI-authenticated RPC layer.
 #include <gtest/gtest.h>
 
+#include "common/wire.h"
 #include "net/topology.h"
 #include "rpc/message.h"
 #include "rpc/rpc_client.h"
-#include "rpc/serialize.h"
 #include "rpc/rpc_server.h"
 
 namespace gdmp::rpc {
@@ -13,7 +13,7 @@ namespace {
 constexpr SimTime kYear = 365LL * 24 * 3600 * kSecond;
 
 TEST(Serialize, RoundTripPrimitives) {
-  Writer w;
+  wire::Writer w;
   w.u8(7);
   w.u16(1000);
   w.u32(70000);
@@ -24,7 +24,7 @@ TEST(Serialize, RoundTripPrimitives) {
   w.str("hello");
   w.bytes({9, 8, 7});
   const auto buffer = w.take();
-  Reader r(buffer);
+  wire::Reader r(buffer);
   EXPECT_EQ(r.u8(), 7);
   EXPECT_EQ(r.u16(), 1000);
   EXPECT_EQ(r.u32(), 70000u);
@@ -39,10 +39,10 @@ TEST(Serialize, RoundTripPrimitives) {
 }
 
 TEST(Serialize, UnderflowSetsFailureFlag) {
-  Writer w;
+  wire::Writer w;
   w.u16(5);
   const auto buffer = w.take();
-  Reader r(buffer);
+  wire::Reader r(buffer);
   EXPECT_EQ(r.u64(), 0u);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.str(), "");  // still safe after failure
@@ -179,8 +179,8 @@ TEST(Rpc, PipelinedCallsAllComplete) {
       "inc", [](const security::GsiContext&, std::uint64_t,
                 std::span<const std::uint8_t> params,
                 RpcServer::Respond respond) {
-        Reader r(params);
-        Writer w;
+        wire::Reader r(params);
+        wire::Writer w;
         w.u32(r.u32() + 1);
         respond(Status::ok(), w.take());
       });
@@ -189,12 +189,12 @@ TEST(Rpc, PipelinedCallsAllComplete) {
                    f.cert("client"));
   int completed = 0;
   for (std::uint32_t i = 0; i < 20; ++i) {
-    Writer w;
+    wire::Writer w;
     w.u32(i);
     client.call("inc", w.take(),
                 [&completed, i](Status s, std::vector<std::uint8_t> reply) {
                   ASSERT_TRUE(s.is_ok());
-                  Reader r(reply);
+                  wire::Reader r(reply);
                   EXPECT_EQ(r.u32(), i + 1);
                   ++completed;
                 });

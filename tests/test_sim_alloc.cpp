@@ -251,6 +251,62 @@ TEST(FlowEngineAlloc, RenegotiationChurnAllocatesNothing) {
   for (int i = 0; i < kFlows; ++i) EXPECT_TRUE(engine.active(ids[i]));
 }
 
+// Rate-class churn: members join and leave a class, the earliest finisher
+// and other members are cancelled, small members drain through the class's
+// head event, and a class empties (releasing its slot and index node) and
+// re-forms under the same key. After warm-up none of it allocates.
+TEST(FlowEngineAlloc, ClassChurnAllocatesNothing) {
+  Simulator sim;
+  net::Network network{sim};
+  net::Node& a = network.add_node("a");
+  net::Node& b = network.add_node("b");
+  net::LinkConfig link_config;
+  link_config.bandwidth = 100 * kMbps;
+  link_config.propagation = 5 * kMillisecond;
+  network.connect(a, b, link_config);
+  network.compute_routes();
+
+  flow::FlowEngine engine(sim, network);
+  std::uint64_t retired = 0;
+  const auto launch = [&](Bytes bytes, Bytes window) {
+    flow::FlowSpec spec;
+    spec.src = a.id();
+    spec.dst = b.id();
+    spec.bytes = bytes;
+    spec.window = window;
+    return engine.start(spec,
+                        [&retired](const flow::FlowDone&) { ++retired; });
+  };
+  // A resident class on the same link keeps the link's class list and the
+  // solve non-trivial while the churned class comes and goes.
+  const flow::FlowId resident = launch(flow::kUnboundedBytes, 64 * kKiB);
+
+  const auto cycle = [&](int cycles) {
+    for (int c = 0; c < cycles; ++c) {
+      flow::FlowId members[4];
+      for (int i = 0; i < 4; ++i) members[i] = launch((i + 1) * kGiB, 0);
+      const flow::FlowId quick = launch(10 * kKiB, 0);  // drains first
+      sim.run_until(sim.now() + 200 * kMillisecond);
+      engine.cancel(members[0]);  // the earliest remaining finisher
+      engine.cancel(members[2]);  // a member deeper in the heap
+      const flow::FlowId late = launch(5 * kGiB, 0);  // joins mid-flight
+      sim.run_until(sim.now() + kMillisecond);
+      engine.cancel(members[1]);
+      engine.cancel(members[3]);
+      engine.cancel(late);  // the class drains to empty
+      (void)quick;
+      sim.run_until(sim.now() + kMillisecond);
+    }
+  };
+  cycle(20);  // warm-up: slot and class pools, heaps, index nodes grow
+  const std::uint64_t before = allocation_count();
+  cycle(200);
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_GE(retired, 200u * 6);
+  EXPECT_TRUE(engine.active(resident));
+  EXPECT_EQ(engine.active_flows(), 1u);
+}
+
 // HeartbeatReporter contract (obs/heartbeat.h): once the stream shape
 // settles, a tick — sampler pull, windowed series update, watchdog sweep
 // and rollup render into the reused line buffer — performs no allocation.
