@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
                   {"streams", n},
                   {"ok", sample.ok},
                   {"mbps", sample.mbps},
-                  {"seconds", sample.seconds}});
+                  {"seconds", sample.seconds},
+                  {"events", static_cast<unsigned long long>(sample.events)},
+                  {"segments", static_cast<long long>(sample.segments)}});
     }
     std::printf("\n");
   }

@@ -59,9 +59,14 @@ void part1_event_economy(BenchReport& report, bool smoke) {
   for (const int streams : stream_counts) {
     WanBenchConfig config;
     config.seed = static_cast<std::uint64_t>(file_size) ^ (streams * 977);
+    const auto packet_start = std::chrono::steady_clock::now();
     const TransferSample packet =
         run_wan_get(config, file_size, streams, 64 * kKiB,
                     flow::TransferModel::kPacket);
+    const double packet_wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      packet_start)
+            .count();
     const TransferSample fluid =
         run_wan_get(config, file_size, streams, 64 * kKiB,
                     flow::TransferModel::kFluid);
@@ -81,7 +86,9 @@ void part1_event_economy(BenchReport& report, bool smoke) {
                 {"fluid_mbps", fluid.mbps},
                 {"packet_events", static_cast<unsigned long long>(packet.events)},
                 {"fluid_events", static_cast<unsigned long long>(fluid.events)},
-                {"event_ratio", ratio}});
+                {"event_ratio", ratio},
+                {"packet_segments", static_cast<long long>(packet.segments)},
+                {"packet_wall_seconds", packet_wall_seconds}});
   }
   std::printf(
       "\nacceptance line: fluid uses >=50x fewer events than packet at\n"

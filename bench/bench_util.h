@@ -20,6 +20,7 @@
 #include "gridftp/client.h"
 #include "gridftp/server.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 #include "storage/disk.h"
 #include "storage/disk_pool.h"
 
@@ -148,6 +149,9 @@ struct TransferSample {
   /// Simulator events fired between issuing the get and its completion
   /// (the fluid-vs-packet cost axis bench_flow reports).
   std::uint64_t events = 0;
+  /// TCP segments both endpoints sent over the same span; zero in the
+  /// fluid model, whose payload bypasses TCP.
+  std::int64_t segments = 0;
 };
 
 /// Runs one extended_get: transfers `file_size` with the given stream
@@ -166,8 +170,15 @@ inline TransferSample run_wan_get(
   wan.wan_queue = bench_config.wan_queue;
   auto path = net::make_wan_path(network, "cern", "anl", wan);
 
+  obs::MetricsRegistry registry;
   net::TcpStack server_stack(simulator, *path.host_a);
   net::TcpStack client_stack(simulator, *path.host_b);
+  server_stack.set_metrics(registry.scope("cern.net.tcp"));
+  client_stack.set_metrics(registry.scope("anl.net.tcp"));
+  const auto segments_sent = [&registry] {
+    return registry.counter("cern.net.tcp.segments_sent").value() +
+           registry.counter("anl.net.tcp.segments_sent").value();
+  };
 
   const bool fluid = model == flow::TransferModel::kFluid;
   std::unique_ptr<flow::FlowEngine> engine;
@@ -204,6 +215,7 @@ inline TransferSample run_wan_get(
   // Let the cross traffic reach steady state before measuring.
   simulator.run_until(2 * kSecond);
   const std::uint64_t events_before = simulator.events_fired();
+  const std::int64_t segments_before = segments_sent();
   client.get(path.host_a->id(), gridftp::kControlPort, "/pool/testfile",
              "/discard", /*pool=*/nullptr, options,
              [&](Result<gridftp::TransferResult> result) {
@@ -215,6 +227,7 @@ inline TransferSample run_wan_get(
                  sample.retransmits = result->retransmitted_segments;
                }
                sample.events = simulator.events_fired() - events_before;
+               sample.segments = segments_sent() - segments_before;
                // Stop simulating once the measurement is in; the CBR
                // sources would otherwise churn events forever.
                simulator.request_stop();

@@ -9,7 +9,10 @@ Link::Link(sim::Simulator& simulator, LinkConfig config, Deliver deliver)
       config_(config),
       deliver_(std::move(deliver)) {}
 
+Link::~Link() { simulator_.cancel(event_); }
+
 bool Link::enqueue(const Packet& packet) {
+  release_serialized();
   const Bytes size = packet.wire_size();
   if (backlog_ + size > config_.queue_capacity) {
     ++stats_.packets_dropped;
@@ -25,25 +28,69 @@ bool Link::enqueue(const Packet& packet) {
   busy_until_ = done;
   busy_time_ += done - start;
 
-  // The packet stops occupying queue space once fully serialized, and
-  // arrives one propagation delay later. The packet itself waits in
-  // in_flight_ (see link.h) so both closures fit the kernel's inline
-  // buffer — the per-packet path allocates nothing.
-  std::weak_ptr<bool> alive = alive_;
-  simulator_.schedule_at(done, [this, alive, size] {
-    if (alive.expired()) return;
-    backlog_ -= size;
-  });
-  in_flight_.push_back(packet);
-  simulator_.schedule_at(done + config_.propagation, [this, alive] {
-    if (alive.expired()) return;
-    const Packet arrived = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += arrived.wire_size();
-    deliver_(arrived);
-  });
+  // The packet holds queue space until `done` and arrives one propagation
+  // delay later. Both happenings share one reserved sequence number: two
+  // events scheduled back to back here would take consecutive numbers with
+  // no other event's between them, so one number orders both alike.
+  if (tail_ - head_ == ring_.size()) grow();
+  const bool idle = head_ == tail_;
+  InFlight& entry = at(tail_++);
+  entry.packet = packet;
+  entry.done = done;
+  entry.arrival = done + config_.propagation;
+  entry.seq = simulator_.reserve_seq();
+  if (idle) arm(entry.arrival, entry.seq);
   return true;
+}
+
+void Link::release_serialized() const noexcept {
+  // Keys (done, seq) rise along the ring, so the released prefix ends at
+  // the first packet whose serialization end has not yet fired.
+  while (released_ != tail_) {
+    const InFlight& entry = at(released_);
+    if (!simulator_.fired_before(entry.done, entry.seq)) break;
+    backlog_ -= entry.packet.wire_size();
+    ++released_;
+  }
+}
+
+void Link::arm(SimTime when, std::uint64_t seq) {
+  // In place while the handle is live: from deliver_head(), or from an
+  // enqueue its receiver makes onto this link. A link that drained arms a
+  // fresh event.
+  if (simulator_.reschedule_at(event_, when, seq)) return;
+  event_ = simulator_.schedule_at(
+      when, seq, [this, alive = std::weak_ptr<bool>(alive_)] {
+        if (alive.expired()) return;
+        deliver_head();
+      });
+}
+
+void Link::deliver_head() {
+  InFlight& head = at(head_);
+  // With zero propagation delay the head's serialization end shares this
+  // event's key and has not tested as fired; it comes due now.
+  if (released_ == head_) {
+    backlog_ -= head.packet.wire_size();
+    ++released_;
+  }
+  const Packet arrived = std::move(head.packet);
+  ++head_;
+  if (head_ != tail_) arm(at(head_).arrival, at(head_).seq);
+  ++stats_.packets_delivered;
+  stats_.bytes_delivered += arrived.wire_size();
+  // Last: the receiver may enqueue onto this link or destroy it.
+  deliver_(arrived);
+}
+
+void Link::grow() {
+  // Only when in-flight packets set a new high-water mark for this link;
+  // steady-state forwarding reuses the slots.
+  std::vector<InFlight> bigger(ring_.empty() ? 16 : 2 * ring_.size());
+  for (std::uint64_t p = head_; p != tail_; ++p) {
+    bigger[p & (bigger.size() - 1)] = std::move(at(p));
+  }
+  ring_.swap(bigger);
 }
 
 SimDuration Link::queueing_delay() const noexcept {

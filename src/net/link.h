@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "common/types.h"
 #include "net/packet.h"
@@ -33,6 +33,17 @@ struct LinkStats {
   Bytes bytes_delivered = 0;  // wire bytes handed to the receiver
 };
 
+/// One kernel event per link, not two per packet. Serialization is FIFO and
+/// propagation constant, so a link's deliveries happen in enqueue order at
+/// nondecreasing times. The link keeps its in-flight packets in a ring and
+/// arms a single kernel event for the head's delivery, re-armed in place
+/// from the delivery callback. Each packet takes a kernel sequence number
+/// (Simulator::reserve_seq) at enqueue, exactly where one schedule_at()
+/// per packet would have, so the head event fires in the plain per-packet
+/// event order, same-nanosecond ties included. Queue space is released
+/// lazily: a packet stops counting toward backlog() once its serialization
+/// end, keyed (done, seq), would already have fired as an event
+/// (Simulator::fired_before). See DESIGN.md §5e.
 class Link {
  public:
   /// Inline callable: link delivery is the per-packet fast path, so the
@@ -40,6 +51,12 @@ class Link {
   using Deliver = sim::InlineFunction<void(const Packet&), 64>;
 
   Link(sim::Simulator& simulator, LinkConfig config, Deliver deliver);
+  /// Cancels the pending delivery event: packets still queued or in flight
+  /// are dropped silently. The simulator must outlive the link.
+  ~Link();
+
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Accepts a packet for transmission; drops it if the queue is full.
   /// Returns false on drop.
@@ -57,7 +74,10 @@ class Link {
   }
 
   /// Bytes currently queued or being serialized.
-  Bytes backlog() const noexcept { return backlog_; }
+  Bytes backlog() const noexcept {
+    release_serialized();
+    return backlog_;
+  }
 
   /// The queueing delay a newly arriving packet would see right now.
   SimDuration queueing_delay() const noexcept;
@@ -81,11 +101,36 @@ class Link {
   double sample_utilization();
 
  private:
+  /// A packet accepted but not yet delivered.
+  struct InFlight {
+    Packet packet;
+    SimTime done = 0;     // serialization ends; its queue space frees
+    SimTime arrival = 0;  // done + propagation: delivery at the far end
+    std::uint64_t seq = 0;  // kernel sequence number reserved at enqueue
+  };
+
+  InFlight& at(std::uint64_t position) noexcept {
+    return ring_[position & (ring_.size() - 1)];
+  }
+  const InFlight& at(std::uint64_t position) const noexcept {
+    return ring_[position & (ring_.size() - 1)];
+  }
+  /// Drops from backlog_ every packet whose serialization end has fired.
+  void release_serialized() const noexcept;
+  /// Arms (or re-arms in place) the one delivery event at a reserved key.
+  void arm(SimTime when, std::uint64_t seq);
+  /// The delivery event's body: hands the head packet to `deliver_`.
+  void deliver_head();
+  /// Doubles the ring; called only when it is full.
+  void grow();
+
   sim::Simulator& simulator_;
   LinkConfig config_;
   Deliver deliver_;
   LinkStats stats_;
-  Bytes backlog_ = 0;
+  // Bytes queued or being serialized. Mutable with `released_`: backlog()
+  // settles lazily released packets.
+  mutable Bytes backlog_ = 0;
   SimTime busy_until_ = 0;  // when the transmitter becomes idle
   SimDuration busy_time_ = 0;  // serialization time accumulated so far
   obs::Gauge* utilization_gauge_ = nullptr;
@@ -98,14 +143,19 @@ class Link {
   // LinkStats values already mirrored into the counters (delta-synced each
   // sample, so counters stay monotone however often stats_ moves).
   LinkStats published_;
-  /// Packets serialized but not yet delivered. Kept here (FIFO — delivery
-  /// times are monotone: serialization completions are ordered and the
-  /// propagation delay is constant) so the delivery events capture only
-  /// {this, guard} and stay inside the kernel's inline buffer instead of
-  /// hauling a ~140-byte Packet into a heap-allocated closure.
-  std::deque<Packet> in_flight_;
-  /// Liveness sentinel: serialization/propagation completions can still be
-  /// queued in the simulator when a topology is torn down mid-run.
+  /// In-flight packets, a power-of-two ring indexed by monotone positions:
+  /// [head_, released_) have left the queue, [released_, tail_) still
+  /// count in backlog_ until release_serialized() settles them. Slots are
+  /// reused, so steady-state forwarding allocates nothing once the ring
+  /// has reached the link's high-water mark.
+  std::vector<InFlight> ring_;
+  std::uint64_t head_ = 0;
+  mutable std::uint64_t released_ = 0;
+  std::uint64_t tail_ = 0;
+  /// The delivery event of ring_[head_], keyed (arrival, seq); stale while
+  /// the ring is empty. The destructor cancels it.
+  sim::EventHandle event_;
+  /// Liveness sentinel checked by the delivery event's callback.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -10,6 +10,14 @@ EventHandle Simulator::schedule_at(SimTime when, Callback fn) {
   return heap_.push(when, next_seq_++, std::move(fn));
 }
 
+EventHandle Simulator::schedule_at(SimTime when, std::uint64_t seq,
+                                   Callback fn) {
+  assert(fn && "scheduling a null callback");
+  assert(seq < next_seq_ && "sequence number was not reserved");
+  if (when < now_) when = now_;
+  return heap_.push(when, seq, std::move(fn));
+}
+
 void Simulator::cancel(EventHandle handle) { heap_.cancel(handle); }
 
 bool Simulator::reschedule_at(EventHandle handle, SimTime when) {
@@ -20,9 +28,18 @@ bool Simulator::reschedule_at(EventHandle handle, SimTime when) {
   return heap_.reschedule(handle, when, next_seq_++);
 }
 
+bool Simulator::reschedule_at(EventHandle handle, SimTime when,
+                              std::uint64_t seq) {
+  assert(seq < next_seq_ && "sequence number was not reserved");
+  if (when < now_) when = now_;
+  return heap_.reschedule(handle, when, seq);
+}
+
 void Simulator::fire_next() {
   const auto top = heap_.pop_firing();
   now_ = top.time;
+  fired_time_ = top.time;
+  fired_seq_ = top.seq;
   ++fired_;
   heap_.firing_fn()();
   heap_.finish_firing();
@@ -49,6 +66,13 @@ std::size_t Simulator::run_until(SimTime deadline) {
     ++count;
   }
   if (now_ < deadline) now_ = deadline;
+  // Drained up to the deadline: every key at or before it that exists now
+  // has fired or would have. A stopped run may have left such keys behind,
+  // so it keeps the key of the last event it fired.
+  if (!stop_requested_ && !fired_before(deadline, next_seq_)) {
+    fired_time_ = deadline;
+    fired_seq_ = next_seq_;
+  }
   return count;
 }
 

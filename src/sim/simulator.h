@@ -51,6 +51,32 @@ class Simulator {
   /// Schedules `fn` at an absolute time (clamped to `now()` if in the past).
   EventHandle schedule_at(SimTime when, Callback fn);
 
+  /// Takes the next FIFO sequence number without scheduling anything.
+  ///
+  /// Reserved sequence numbers let a subsystem that keeps its own monotone
+  /// queue of future happenings (a link's in-flight packets: serialization
+  /// ends and deliveries) stand in for one schedule_at() per happening.
+  /// It reserves the seq at the moment it would have scheduled, arms one
+  /// kernel event for its head under that reserved (time, seq) key, and
+  /// asks fired_before() whether an unscheduled happening would already
+  /// have fired. Pop order is then exactly the plain schedule_at() order,
+  /// same-nanosecond ties included.
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// schedule_at() under a key whose `seq` came from reserve_seq(). The
+  /// caller keeps reserved keys ahead of the last fired event's key (a
+  /// reserved seq is larger than every seq fired before it was taken).
+  EventHandle schedule_at(SimTime when, std::uint64_t seq, Callback fn);
+
+  /// True if an event keyed (time, seq) would already have fired: the key
+  /// is below that of the last event popped, or — after run_until() has
+  /// drained every event up to its deadline — below (deadline, first seq
+  /// not yet taken). A run halted by request_stop() leaves the key of the
+  /// last event it fired.
+  bool fired_before(SimTime time, std::uint64_t seq) const noexcept {
+    return time < fired_time_ || (time == fired_time_ && seq < fired_seq_);
+  }
+
   /// Cancels a pending event. Idempotent; cancelling a fired or invalid
   /// handle is a no-op. Cancelling the currently executing event suppresses
   /// a pending reschedule() of it.
@@ -68,6 +94,10 @@ class Simulator {
 
   /// reschedule() with an absolute target time (clamped to `now()`).
   bool reschedule_at(EventHandle handle, SimTime when);
+
+  /// reschedule_at() under a reserved key (see reserve_seq()): the event
+  /// takes `seq` instead of a fresh sequence number.
+  bool reschedule_at(EventHandle handle, SimTime when, std::uint64_t seq);
 
   /// Runs events until only daemon events (if any) remain. Returns the
   /// number fired. Daemons interleave normally while the queue holds real
@@ -107,6 +137,10 @@ class Simulator {
   EventHeap<Callback> heap_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
+  // Frontier for fired_before(): every key below (fired_time_, fired_seq_)
+  // has fired or would have.
+  SimTime fired_time_ = 0;
+  std::uint64_t fired_seq_ = 0;
   std::uint64_t fired_ = 0;
   bool stop_requested_ = false;
 };

@@ -1,8 +1,12 @@
 // Tests for the network simulator and TCP Reno+SACK implementation.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <numeric>
+#include <vector>
 
+#include "common/random.h"
 #include "net/cross_traffic.h"
 #include "net/tcp.h"
 #include "net/topology.h"
@@ -89,6 +93,247 @@ TEST(Link, DeliveryCountersTrackArrivals) {
   EXPECT_EQ(link.stats().bytes_sent, link.stats().bytes_delivered);
   EXPECT_EQ(link.stats().packets_dropped, 3);
 }
+
+// ------------------------------------------------- link FIFO equivalence
+
+/// Reference link with two kernel events per packet: one when its
+/// serialization ends (releasing its queue space) and one when it arrives.
+/// net::Link's single-event FIFO must reproduce it exactly.
+class PerPacketReferenceLink {
+ public:
+  PerPacketReferenceLink(sim::Simulator& simulator, LinkConfig config,
+                         std::function<void(const Packet&)> deliver)
+      : simulator_(simulator), config_(config), deliver_(std::move(deliver)) {}
+
+  bool enqueue(const Packet& packet) {
+    const Bytes size = packet.wire_size();
+    if (backlog_ + size > config_.queue_capacity) {
+      ++stats_.packets_dropped;
+      stats_.bytes_dropped += size;
+      return false;
+    }
+    backlog_ += size;
+    ++stats_.packets_sent;
+    stats_.bytes_sent += size;
+    const SimTime start = std::max(busy_until_, simulator_.now());
+    const SimTime done = start + transmission_delay(size, config_.bandwidth);
+    busy_until_ = done;
+    busy_time_ += done - start;
+    simulator_.schedule_at(done, [this, size] { backlog_ -= size; });
+    in_flight_.push_back(packet);
+    simulator_.schedule_at(done + config_.propagation, [this] {
+      const Packet arrived = in_flight_.front();
+      in_flight_.pop_front();
+      ++stats_.packets_delivered;
+      stats_.bytes_delivered += arrived.wire_size();
+      deliver_(arrived);
+    });
+    return true;
+  }
+
+  void set_bandwidth(BitsPerSec bandwidth) { config_.bandwidth = bandwidth; }
+  Bytes backlog() const { return backlog_; }
+  SimDuration queueing_delay() const {
+    return busy_until_ > simulator_.now() ? busy_until_ - simulator_.now() : 0;
+  }
+  SimDuration busy_time() const { return busy_time_ - queueing_delay(); }
+  const LinkStats& stats() const { return stats_; }
+
+ private:
+  sim::Simulator& simulator_;
+  LinkConfig config_;
+  std::function<void(const Packet&)> deliver_;
+  LinkStats stats_;
+  Bytes backlog_ = 0;
+  SimTime busy_until_ = 0;
+  SimDuration busy_time_ = 0;
+  std::deque<Packet> in_flight_;
+};
+
+/// What one side of a pair saw at each delivery.
+struct Delivery {
+  SimTime at;
+  std::int64_t id;
+  Bytes backlog;
+  SimDuration queueing_delay;
+  SimDuration busy_time;
+  bool operator==(const Delivery&) const = default;
+};
+
+void expect_same_stats(const LinkStats& a, const LinkStats& b) {
+  EXPECT_EQ(a.packets_sent, b.packets_sent);
+  EXPECT_EQ(a.packets_dropped, b.packets_dropped);
+  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.bytes_dropped, b.bytes_dropped);
+  EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+}
+
+class LinkFifo : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LinkFifo, MatchesPerPacketReference) {
+  Rng rng(GetParam());
+  sim::Simulator simulator;
+  // Packets re-sent from a delivery callback carry id + kEcho, once.
+  constexpr std::int64_t kEcho = 1'000'000;
+
+  struct Pair {
+    std::unique_ptr<PerPacketReferenceLink> ref;
+    std::unique_ptr<Link> link;
+    std::vector<Delivery> ref_log;
+    std::vector<Delivery> log;
+  };
+  // Pair 0 has no propagation delay; pair 2's delay is a whole number of
+  // 1040-byte serializations, so its deliveries land on later packets'
+  // serialization-done instants.
+  constexpr int kPairs = 3;
+  std::vector<Pair> pairs(kPairs);
+  const BitsPerSec rates[] = {8 * kMbps, 45 * kMbps, 100 * kMbps};
+  for (int i = 0; i < kPairs; ++i) {
+    LinkConfig config;
+    config.bandwidth = rates[rng.uniform_int(0, 2)];
+    const SimDuration tx = transmission_delay(1040, config.bandwidth);
+    config.propagation = i == 0   ? 0
+                         : i == 1 ? rng.uniform_int(1, 3000) * kMicrosecond
+                                  : rng.uniform_int(1, 4) * tx;
+    config.queue_capacity = rng.uniform_int(3, 8) * 1040;
+    Pair& pair = pairs[i];
+    // Each side logs its own state at every delivery and echoes some
+    // packets back onto its own link, exercising an enqueue from inside
+    // the delivery event.
+    pair.ref = std::make_unique<PerPacketReferenceLink>(
+        simulator, config, [&pair, &simulator](const Packet& p) {
+          pair.ref_log.push_back({simulator.now(), p.seq, pair.ref->backlog(),
+                                  pair.ref->queueing_delay(),
+                                  pair.ref->busy_time()});
+          if (p.seq < kEcho && p.seq % 5 == 0) {
+            Packet echo = p;
+            echo.seq += kEcho;
+            pair.ref->enqueue(echo);
+          }
+        });
+    pair.link = std::make_unique<Link>(
+        simulator, config, [&pair, &simulator](const Packet& p) {
+          pair.log.push_back({simulator.now(), p.seq, pair.link->backlog(),
+                              pair.link->queueing_delay(),
+                              pair.link->busy_time()});
+          if (p.seq < kEcho && p.seq % 5 == 0) {
+            Packet echo = p;
+            echo.seq += kEcho;
+            pair.link->enqueue(echo);
+          }
+        });
+  }
+
+  int accepted = 0;
+  int dropped = 0;
+  int exact_fits = 0;        // accepted with the backlog landing on capacity
+  int early_probes = 0;      // at a done instant, scheduled before the packet
+  int late_probes = 0;       // at a done instant, scheduled after it
+  int instant_enqueues = 0;  // enqueues made by probes at those instants
+  std::int64_t next_id = 1;
+
+  const auto compare = [&](Pair& pair) {
+    EXPECT_EQ(pair.ref->backlog(), pair.link->backlog());
+    EXPECT_EQ(pair.ref->queueing_delay(), pair.link->queueing_delay());
+    EXPECT_EQ(pair.ref->busy_time(), pair.link->busy_time());
+    expect_same_stats(pair.ref->stats(), pair.link->stats());
+  };
+  const auto make_packet = [&] {
+    Packet p;
+    p.seq = next_id++;
+    const Bytes payloads[] = {0, 500, 1000, 1000, 1000, 1460};
+    p.payload_len = payloads[rng.uniform_int(0, 5)];
+    return p;
+  };
+  // Enqueues one packet on both sides of `pair`; both must decide alike.
+  const auto enqueue_both = [&](Pair& pair, const Packet& p) {
+    const Bytes before = pair.ref->backlog();
+    const bool ok = pair.ref->enqueue(p);
+    EXPECT_EQ(pair.link->enqueue(p), ok);
+    if (!ok) {
+      ++dropped;
+      return false;
+    }
+    ++accepted;
+    if (before + p.wire_size() == pair.link->config().queue_capacity) {
+      ++exact_fits;
+    }
+    return true;
+  };
+  // A probe compares both sides at an instant of interest and may enqueue
+  // one more packet exactly then.
+  const auto probe = [&](Pair& pair, SimTime at, bool add) {
+    simulator.schedule_at(at, [&, pair_ptr = &pair, add] {
+      compare(*pair_ptr);
+      if (!add) return;
+      enqueue_both(*pair_ptr, make_packet());
+      ++instant_enqueues;
+    });
+  };
+  const auto burst = [&](Pair& pair, int count) {
+    for (int k = 0; k < count; ++k) {
+      const Packet p = make_packet();
+      const SimTime done =
+          simulator.now() + pair.link->queueing_delay() +
+          transmission_delay(p.wire_size(), pair.link->config().bandwidth);
+      const bool early = rng.chance(0.5);
+      if (early) probe(pair, done, rng.chance(0.5));
+      const bool ok = enqueue_both(pair, p);
+      if (ok && early) ++early_probes;
+      if (rng.chance(0.5)) {
+        probe(pair, done, rng.chance(0.5));
+        if (ok) ++late_probes;
+      }
+      if (ok && rng.chance(0.3)) {
+        probe(pair, done + pair.link->config().propagation, rng.chance(0.5));
+      }
+    }
+  };
+
+  constexpr SimTime kHorizon = 400 * kMillisecond;
+  constexpr SimDuration kGrid = 520 * kMicrosecond;  // half a 1040 B @ 8 Mb/s
+  for (int op = 0; op < 400; ++op) {
+    const SimTime at = rng.uniform_int(0, kHorizon / kGrid) * kGrid;
+    const int which = static_cast<int>(rng.uniform_int(0, kPairs - 1));
+    const double kind = rng.uniform();
+    if (kind < 0.75) {
+      const int count = static_cast<int>(rng.uniform_int(1, 8));
+      simulator.schedule_at(at,
+                            [&, which, count] { burst(pairs[which], count); });
+    } else if (kind < 0.85) {
+      const BitsPerSec rate = rates[rng.uniform_int(0, 2)];
+      simulator.schedule_at(at, [&, which, rate] {
+        pairs[which].ref->set_bandwidth(rate);
+        pairs[which].link->set_bandwidth(rate);
+        compare(pairs[which]);
+      });
+    } else {
+      simulator.schedule_at(at, [&, which] { compare(pairs[which]); });
+    }
+  }
+  simulator.run();
+
+  for (Pair& pair : pairs) {
+    compare(pair);
+    EXPECT_EQ(pair.link->backlog(), 0);
+    ASSERT_EQ(pair.log.size(), pair.ref_log.size());
+    for (std::size_t i = 0; i < pair.log.size(); ++i) {
+      ASSERT_EQ(pair.log[i], pair.ref_log[i]) << "delivery " << i;
+    }
+  }
+  EXPECT_EQ(simulator.pending(), 0u);
+  // The seeded run reached the cases it exists for.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(exact_fits, 0);
+  EXPECT_GT(early_probes, 0);
+  EXPECT_GT(late_probes, 0);
+  EXPECT_GT(instant_enqueues, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LinkFifo,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST(Network, RoutesAcrossMultipleHops) {
   sim::Simulator simulator;

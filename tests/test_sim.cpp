@@ -238,6 +238,142 @@ TEST(Simulator, CancelOfFiringEventSuppressesSelfRearm) {
   EXPECT_EQ(simulator.pending(), 0u);
 }
 
+// ---------------------------------------------- reserved sequence numbers
+
+TEST(ReservedSeq, FiresInPlainScheduleOrder) {
+  // Every third event takes its seq where the plain run schedules it, but is
+  // armed only after all the others, in reverse. Both runs must fire in the
+  // same order, ties at equal timestamps included.
+  Simulator plain;
+  Simulator reserved;
+  std::vector<int> plain_order;
+  std::vector<int> reserved_order;
+  struct Deferred {
+    SimTime when;
+    std::uint64_t seq;
+    int id;
+  };
+  std::vector<Deferred> deferred;
+  for (int i = 0; i < 60; ++i) {
+    const SimTime when = (i * 37) % 7;  // many same-time ties
+    plain.schedule_at(when, [&plain_order, i] { plain_order.push_back(i); });
+    if (i % 3 == 0) {
+      deferred.push_back({when, reserved.reserve_seq(), i});
+    } else {
+      reserved.schedule_at(
+          when, [&reserved_order, i] { reserved_order.push_back(i); });
+    }
+  }
+  for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
+    const int id = it->id;
+    reserved.schedule_at(it->when, it->seq, [&reserved_order, id] {
+      reserved_order.push_back(id);
+    });
+  }
+  EXPECT_EQ(plain.run(), 60u);
+  EXPECT_EQ(reserved.run(), 60u);
+  EXPECT_EQ(reserved_order, plain_order);
+}
+
+TEST(ReservedSeq, EventReArmsItselfUnderReservedKeys) {
+  // One event stands in for a FIFO of three happenings at t = 10, 10, 20,
+  // each interleaved with a plain event scheduled right after it; re-armed
+  // from its own callback, it fires in the per-happening order.
+  Simulator simulator;
+  std::vector<int> order;
+  std::vector<std::pair<SimTime, std::uint64_t>> keys;
+  const SimTime times[] = {10, 10, 20};
+  for (int i = 0; i < 3; ++i) {
+    keys.emplace_back(times[i], simulator.reserve_seq());
+    simulator.schedule_at(times[i], [&order, i] { order.push_back(100 + i); });
+  }
+  std::size_t next = 0;
+  EventHandle handle;
+  handle = simulator.schedule_at(keys[0].first, keys[0].second, [&] {
+    order.push_back(static_cast<int>(next));
+    EXPECT_EQ(simulator.now(), keys[next].first);
+    if (++next < keys.size()) {
+      EXPECT_TRUE(
+          simulator.reschedule_at(handle, keys[next].first, keys[next].second));
+    }
+  });
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 100, 1, 101, 2, 102}));
+  EXPECT_EQ(simulator.pending(), 0u);
+}
+
+TEST(ReservedSeq, ClampsToNowAndCancelsLikePlainEvents) {
+  Simulator simulator;
+  simulator.schedule(100, [] {});
+  simulator.run();
+  SimTime fired = -1;
+  simulator.schedule_at(5, simulator.reserve_seq(),
+                        [&] { fired = simulator.now(); });
+  simulator.run();
+  EXPECT_EQ(fired, 100);
+
+  bool cancelled_fired = false;
+  const EventHandle handle = simulator.schedule_at(
+      150, simulator.reserve_seq(), [&] { cancelled_fired = true; });
+  EXPECT_EQ(simulator.pending(), 1u);
+  simulator.cancel(handle);
+  EXPECT_EQ(simulator.pending(), 0u);
+  EXPECT_FALSE(simulator.reschedule_at(handle, 160, simulator.reserve_seq()));
+  simulator.run();
+  EXPECT_FALSE(cancelled_fired);
+
+  // A pending reserved-key event moves like a plain one.
+  SimTime moved = -1;
+  const EventHandle pending = simulator.schedule_at(
+      300, simulator.reserve_seq(), [&] { moved = simulator.now(); });
+  EXPECT_TRUE(simulator.reschedule_at(pending, 50, simulator.reserve_seq()));
+  simulator.run();
+  EXPECT_EQ(moved, 100);  // clamped to now
+}
+
+TEST(ReservedSeq, FiredBeforeFollowsPopsAndDrainedDeadlines) {
+  Simulator simulator;
+  const std::uint64_t early = simulator.reserve_seq();
+  EXPECT_FALSE(simulator.fired_before(0, early));
+  simulator.schedule_at(10, [] {});
+  const std::uint64_t before_run = simulator.reserve_seq();
+  EXPECT_FALSE(simulator.fired_before(10, before_run));
+
+  // run_until drains everything up to the deadline and moves the clock on:
+  // keys at or before the deadline that exist now count as fired.
+  simulator.run_until(50);
+  EXPECT_TRUE(simulator.fired_before(10, before_run));
+  EXPECT_TRUE(simulator.fired_before(50, before_run));
+  EXPECT_FALSE(simulator.fired_before(51, early));
+  // A key taken after the drain is still ahead, even at the same instant.
+  const std::uint64_t after_run = simulator.reserve_seq();
+  EXPECT_FALSE(simulator.fired_before(50, after_run));
+
+  // Inside a callback, the frontier is the firing event's own key.
+  simulator.schedule_at(60, [&] {
+    EXPECT_TRUE(simulator.fired_before(50, after_run));
+    EXPECT_TRUE(simulator.fired_before(60, after_run));
+    EXPECT_FALSE(simulator.fired_before(60, simulator.reserve_seq()));
+  });
+  simulator.run();
+
+  // A stopped run keeps the key of the last event it fired, although the
+  // clock still jumps to the deadline.
+  const std::uint64_t first = simulator.reserve_seq();
+  simulator.schedule_at(70, first, [&] { simulator.request_stop(); });
+  const std::uint64_t second = simulator.reserve_seq();
+  simulator.schedule_at(80, second, [] {});
+  EXPECT_EQ(simulator.run_until(100), 1u);
+  EXPECT_EQ(simulator.now(), 100);
+  EXPECT_FALSE(simulator.fired_before(70, first));  // its own key: not below
+  EXPECT_TRUE(simulator.fired_before(70, first - 1));
+  EXPECT_FALSE(simulator.fired_before(75, 0));
+  EXPECT_FALSE(simulator.fired_before(80, second));
+  simulator.run_until(100);
+  EXPECT_TRUE(simulator.fired_before(80, second));
+  EXPECT_TRUE(simulator.fired_before(100, second));
+}
+
 TEST(Simulator, ManyEventsStressOrdering) {
   Simulator simulator;
   SimTime last = -1;

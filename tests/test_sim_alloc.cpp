@@ -15,6 +15,7 @@
 #include <new>
 
 #include "flow/flow_engine.h"
+#include "net/cross_traffic.h"
 #include "net/topology.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
@@ -305,6 +306,41 @@ TEST(FlowEngineAlloc, ClassChurnAllocatesNothing) {
   EXPECT_GE(retired, 200u * 6);
   EXPECT_TRUE(engine.active(resident));
   EXPECT_EQ(engine.active_flows(), 1u);
+}
+
+// Link contract (net/link.h): in-flight packets live in a per-link ring
+// that grows only to the link's high-water mark, and each link owns one
+// delivery event re-armed in place. Forwarding CBR cross traffic plus
+// TCP-window-sized datagram bursts across the CERN–ANL dumbbell therefore
+// allocates nothing once every ring has seen its deepest backlog.
+TEST(LinkAlloc, SteadyStateForwardingAllocatesNothing) {
+  Simulator sim;
+  net::Network network{sim};
+  const net::WanPath path = net::make_wan_path(network, "cern", "anl");
+  net::CbrConfig cbr_config;
+  cbr_config.rate = 20 * kMbps;
+  net::CbrSource cbr(network, *path.host_a, *path.host_b, cbr_config);
+  const net::DatagramSink sink(*path.host_b);
+  cbr.start();
+
+  // Every 50 ms, a 64 KiB window's worth of segments leaves at once.
+  net::Packet segment;
+  segment.src = path.host_a->id();
+  segment.dst = path.host_b->id();
+  segment.protocol = net::Protocol::kDatagram;
+  segment.payload_len = 1460;
+  PeriodicTimer bursts(sim, 50 * kMillisecond, [&] {
+    for (int i = 0; i < 45; ++i) path.host_a->send(segment);
+  });
+  bursts.start();
+
+  sim.run_until(2 * kSecond);  // warm-up: rings and the event pool grow
+  const std::uint64_t before = allocation_count();
+  const Bytes received_before = sink.bytes_received();
+  sim.run_until(6 * kSecond);
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_GT(sink.bytes_received() - received_before, 10 * kMiB);
+  EXPECT_GT(path.bottleneck_ab->stats().packets_delivered, 0);
 }
 
 // HeartbeatReporter contract (obs/heartbeat.h): once the stream shape

@@ -145,6 +145,63 @@ TEST(Teardown, MssStageErrorFiresOnce) {
   EXPECT_TRUE(miss.exactly_once());
 }
 
+// ---------------------------------------------------------------- network
+
+TEST(Teardown, NetworkDestroyedWithPacketsQueuedAndInFlight) {
+  sim::Simulator simulator;
+  bool unrelated_fired = false;
+  simulator.schedule_at(kSecond, [&] { unrelated_fired = true; });
+  const std::size_t pending_before = simulator.pending();
+
+  int delivered = 0;
+  auto network = std::make_unique<net::Network>(simulator);
+  const net::WanPath path = net::make_wan_path(*network, "a", "b");
+  for (net::Node* host : {path.host_a, path.host_b}) {
+    host->set_protocol_handler(net::Protocol::kDatagram,
+                               [&delivered](const net::Packet&) {
+                                 ++delivered;
+                               });
+  }
+  // Each directed link of the dumbbell: three toward b, then three back.
+  const std::pair<net::Node*, net::Node*> hops[] = {
+      {path.host_a, path.router_a},   {path.router_a, path.router_b},
+      {path.router_b, path.host_b},   {path.host_b, path.router_b},
+      {path.router_b, path.router_a}, {path.router_a, path.host_a}};
+  std::vector<net::Link*> links;
+  for (const auto& [from, to] : hops) {
+    net::Link* link = network->link_between(*from, *to);
+    ASSERT_NE(link, nullptr);
+    links.push_back(link);
+    const bool toward_b = links.size() <= 3;
+    net::Packet packet;
+    packet.protocol = net::Protocol::kDatagram;
+    packet.src = (toward_b ? path.host_a : path.host_b)->id();
+    packet.dst = (toward_b ? path.host_b : path.host_a)->id();
+    packet.payload_len = 1460;
+    for (int i = 0; i < 64; ++i) ASSERT_TRUE(link->enqueue(packet));
+  }
+  // 300 us in: a LAN link (12 us per packet, 50 us away) has delivered some
+  // packets, has some in flight and still queues the rest; a WAN link
+  // (267 us per packet, 62.5 ms away) has one in flight and queues 63.
+  simulator.run_until(300 * kMicrosecond);
+  for (net::Link* link : links) {
+    const net::LinkStats& stats = link->stats();
+    const Bytes undelivered =
+        (stats.packets_sent - stats.packets_delivered) * 1500;
+    EXPECT_GT(link->backlog(), 0);            // queued
+    EXPECT_GT(undelivered, link->backlog());  // in flight
+  }
+  // One kernel event per link: the delivery of its head packet.
+  EXPECT_EQ(simulator.pending(), pending_before + links.size());
+  const int delivered_before = delivered;
+
+  network.reset();
+  EXPECT_EQ(simulator.pending(), pending_before);
+  EXPECT_EQ(simulator.run(), pending_before);
+  EXPECT_TRUE(unrelated_fired);
+  EXPECT_EQ(delivered, delivered_before);
+}
+
 // ---------------------------------------------------------------- gridftp
 
 struct FtpRig {
