@@ -56,10 +56,10 @@ FlowEngine::~FlowEngine() {
 
 void FlowEngine::set_metrics(const obs::MetricsScope& scope) {
   active_gauge_ = scope.gauge("active_flows");
-  reneg_counter_ = scope.counter("renegotiations");
-  links_recomputed_counter_ = scope.counter("links_recomputed");
-  classes_recomputed_counter_ = scope.counter("classes_recomputed");
-  completed_counter_ = scope.counter("completed");
+  scope.counter("renegotiations", stats_.renegotiations);
+  scope.counter("links_recomputed", stats_.links_recomputed);
+  scope.counter("classes_recomputed", stats_.classes_recomputed);
+  scope.counter("completed", stats_.flows_completed);
 }
 
 std::int32_t FlowEngine::intern_link(const net::Link* link) {
@@ -429,7 +429,6 @@ void FlowEngine::renegotiate() {
   reneg_pending_ = false;
   if (dirty_links_.empty()) return;
   ++stats_.renegotiations;
-  if (reneg_counter_) reneg_counter_->add();
 
   closure_classes_.clear();
   solve_links_.clear();
@@ -528,14 +527,6 @@ void FlowEngine::renegotiate() {
   stats_.flows_recomputed += flows;
   stats_.classes_recomputed +=
       static_cast<std::int64_t>(closure_classes_.size());
-  if (links_recomputed_counter_) {
-    links_recomputed_counter_->add(
-        static_cast<std::int64_t>(solve_links_.size()));
-  }
-  if (classes_recomputed_counter_) {
-    classes_recomputed_counter_->add(
-        static_cast<std::int64_t>(closure_classes_.size()));
-  }
 
   // Apply after the solve has fully converged: settle each class under its
   // old rate, install the new one, and move its completion event.
@@ -676,7 +667,6 @@ void FlowEngine::complete(std::uint32_t slot) {
   const FlowState& flow = flows_[slot];
   ++stats_.flows_completed;
   stats_.bytes_completed += flow.spec.bytes;
-  if (completed_counter_) completed_counter_->add();
   retire(slot, true);
 }
 

@@ -96,8 +96,9 @@ class FlowEngine {
   const FluidConfig& config() const noexcept { return config_; }
   sim::Simulator& simulator() noexcept { return simulator_; }
 
-  /// Caches gauges/counters ("active_flows", "renegotiations",
-  /// "links_recomputed", "classes_recomputed", "completed") under `scope`.
+  /// Caches the "active_flows" gauge and binds the stats() counts
+  /// ("renegotiations", "links_recomputed", "classes_recomputed",
+  /// "completed") under `scope`.
   void set_metrics(const obs::MetricsScope& scope);
 
  private:
@@ -222,10 +223,6 @@ class FlowEngine {
 
   FlowEngineStats stats_;
   obs::Gauge* active_gauge_ = nullptr;
-  obs::Counter* reneg_counter_ = nullptr;
-  obs::Counter* links_recomputed_counter_ = nullptr;
-  obs::Counter* classes_recomputed_counter_ = nullptr;
-  obs::Counter* completed_counter_ = nullptr;
 
   /// Completion / renegotiation events may outlive the engine in the
   /// simulator queue; they hold this sentinel weakly.

@@ -88,9 +88,6 @@ CatalogServer::CatalogServer(net::TcpStack& stack,
                        bind(&CatalogServer::handle_add_replica));
   rpc_.register_method("rc.remove_replica",
                        bind(&CatalogServer::handle_remove_replica));
-  rpc_.register_method("rc.unregister",
-                       bind(&CatalogServer::handle_unregister));
-  rpc_.register_method("rc.lookup", bind(&CatalogServer::handle_lookup));
   rpc_.register_method("rc.lookup_batch",
                        bind(&CatalogServer::handle_lookup_batch));
   rpc_.register_method("rc.list", bind(&CatalogServer::handle_list));
@@ -224,51 +221,6 @@ void CatalogServer::handle_remove_replica(
   with_latency(1, [this, collection, lfn, location_name,
                    respond = std::move(respond)] {
     respond(catalog_.remove_replica(collection, location_name, lfn), {});
-  });
-}
-
-void CatalogServer::handle_unregister(std::span<const std::uint8_t> params,
-                                      Respond respond) {
-  wire::Reader r(params);
-  const std::string collection = r.str();
-  const std::string lfn = r.str();
-  if (!r.ok()) {
-    respond(make_error(ErrorCode::kInvalidArgument, "malformed unregister"),
-            {});
-    return;
-  }
-  with_latency(1, [this, collection, lfn, respond = std::move(respond)] {
-    respond(catalog_.unregister_logical_file(collection, lfn), {});
-  });
-}
-
-void CatalogServer::handle_lookup(std::span<const std::uint8_t> params,
-                                  Respond respond) {
-  wire::Reader r(params);
-  const std::string collection = r.str();
-  const std::string lfn = r.str();
-  if (!r.ok()) {
-    respond(make_error(ErrorCode::kInvalidArgument, "malformed lookup"), {});
-    return;
-  }
-  with_latency(1, [this, collection, lfn, respond = std::move(respond)] {
-    auto attrs = catalog_.attributes(collection, lfn);
-    if (!attrs.is_ok()) {
-      respond(attrs.status(), {});
-      return;
-    }
-    auto locations = catalog_.lookup(collection, lfn);
-    if (!locations.is_ok()) {
-      respond(locations.status(), {});
-      return;
-    }
-    ReplicaInfo info;
-    info.lfn = lfn;
-    info.attributes = *attrs;
-    info.locations = *locations;
-    wire::Writer w;
-    encode_replica_info(w, info);
-    respond(Status::ok(), w.take());
   });
 }
 

@@ -69,9 +69,6 @@ class CatalogServer {
                           Respond respond);
   void handle_remove_replica(std::span<const std::uint8_t> params,
                              Respond respond);
-  void handle_unregister(std::span<const std::uint8_t> params,
-                         Respond respond);
-  void handle_lookup(std::span<const std::uint8_t> params, Respond respond);
   void handle_lookup_batch(std::span<const std::uint8_t> params,
                            Respond respond);
   void handle_list(std::span<const std::uint8_t> params, Respond respond);

@@ -15,6 +15,9 @@
 
 namespace gdmp::core {
 
+/// Picks a source replica (an index into the candidate URLs) for
+/// GdmpServer::replicate. Cost-function based selection is the paper's
+/// stated future work [VTF01]; the hook makes it pluggable.
 using SelectorFn = std::function<std::size_t(const std::vector<Uri>&)>;
 
 /// Always the first catalog entry (GDMP 2.0 behaviour).

@@ -17,7 +17,7 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
                        config.catalog_publish_batch}),
       data_mover_(site, config.transfer, config.max_concurrent_transfers),
       storage_manager_(site),
-      selector_([](const std::vector<Uri>&) { return std::size_t{0}; }),
+      selector_(first_replica_selector()),
       rng_(0x6d6d ^ std::hash<std::string>{}(site.site_name)) {
   // Handlers live in the RpcServer's method table; guard them so a handler
   // dispatched during teardown cannot touch a dead GdmpServer.
@@ -185,7 +185,6 @@ void GdmpServer::publish(std::vector<PublishedFile> files, PublishDone done) {
           if (status.is_ok()) {
             export_catalog_[file.lfn] = file;
             ++stats_.files_published;
-            if (metrics_.files_published) metrics_.files_published->add();
             if (config_.auto_archive_published) {
               storage_manager_.archive(file.local_path, [](Status) {});
             }
@@ -206,7 +205,6 @@ void GdmpServer::notify_subscribers(const std::vector<PublishedFile>& files) {
   const std::vector<std::uint8_t> payload = w.take();
   for (const SubscriberInfo& subscriber : subscribers_) {
     ++stats_.notifications_sent;
-    if (metrics_.notifications_sent) metrics_.notifications_sent->add();
     peer(subscriber.node, subscriber.port)
         .call(kMethodNotify, payload,
               [](Status status, std::vector<std::uint8_t>) {
@@ -451,7 +449,6 @@ void GdmpServer::finish_replication(const LogicalFileName& lfn,
               }
               export_catalog_[lfn] = file;
               ++stats_.files_replicated;
-              if (metrics_.files_replicated) metrics_.files_replicated->add();
               if (config_.auto_archive_published) {
                 storage_manager_.archive(file.local_path, [](Status) {});
               }
@@ -461,16 +458,16 @@ void GdmpServer::finish_replication(const LogicalFileName& lfn,
 }
 
 void GdmpServer::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.files_published = scope.counter("files_published");
-  metrics_.notifications_sent = scope.counter("notifications_sent");
-  metrics_.notifications_received = scope.counter("notifications_received");
-  metrics_.notifications_queued = scope.counter("notifications_queued");
-  metrics_.files_replicated = scope.counter("files_replicated");
-  metrics_.replication_failures = scope.counter("replication_failures");
-  metrics_.stage_requests_served = scope.counter("stage_requests_served");
-  metrics_.replications_retried = scope.counter("replications_retried");
-  metrics_.replications_dead_lettered =
-      scope.counter("replications_dead_lettered");
+  scope.counter("files_published", stats_.files_published);
+  scope.counter("notifications_sent", stats_.notifications_sent);
+  scope.counter("notifications_received", stats_.notifications_received);
+  scope.counter("notifications_queued", stats_.notifications_queued);
+  scope.counter("files_replicated", stats_.files_replicated);
+  scope.counter("replication_failures", stats_.replication_failures);
+  scope.counter("stage_requests_served", stats_.stage_requests_served);
+  scope.counter("replications_retried", stats_.replications_retried);
+  scope.counter("replications_dead_lettered",
+                stats_.replications_dead_lettered);
   rpc_.set_metrics(scope.scope("rpc"));
   catalog_client_.set_metrics(scope.scope("catalog_cache"));
 }
@@ -560,18 +557,12 @@ void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
   respond(Status::ok(), {});  // ack immediately; replication is async
   for (const PublishedFile& file : files) {
     ++stats_.notifications_received;
-    if (metrics_.notifications_received) {
-      metrics_.notifications_received->add();
-    }
     if (on_notification) on_notification(from_site, file);
     if (config_.auto_replicate_on_notify) {
       if (enqueue_replication_) {
         // A scheduler owns the consumer path: queue instead of firing a
         // concurrency-unbounded replicate() per notification.
         ++stats_.notifications_queued;
-        if (metrics_.notifications_queued) {
-          metrics_.notifications_queued->add();
-        }
         enqueue_replication_(file);
         continue;
       }
@@ -617,7 +608,6 @@ void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
     return;
   }
   ++stats_.stage_requests_served;
-  if (metrics_.stage_requests_served) metrics_.stage_requests_served->add();
   storage_manager_.ensure_on_disk(
       path, [respond = std::move(respond)](Result<storage::FileInfo> result) {
         respond(result.is_ok() ? Status::ok() : result.status(), {});

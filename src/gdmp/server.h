@@ -20,6 +20,7 @@
 #include "gdmp/catalog_service.h"
 #include "gdmp/data_mover.h"
 #include "gdmp/file_type.h"
+#include "gdmp/replica_selection.h"
 #include "gdmp/storage_manager.h"
 #include "gdmp/types.h"
 #include "obs/channel.h"
@@ -60,16 +61,12 @@ class GdmpServer {
   /// Resolves a hostname from a replica URL to a simulated node
   /// (the testbed provides this from its Network).
   using HostResolver = std::function<Result<net::NodeId>(const std::string&)>;
-  /// Picks a source replica from the candidate URLs. Default: first.
-  /// (Cost-function based selection is the paper's stated future work
-  /// [VTF01]; the hook makes it pluggable.)
-  using ReplicaSelector = std::function<std::size_t(const std::vector<Uri>&)>;
 
   using PublishDone = std::function<void(Status)>;
   using ReplicateDone =
       std::function<void(Result<gridftp::TransferResult>)>;
 
-  /// Per-request source choice. Unlike ReplicaSelector it may *refuse* the
+  /// Per-request source choice. Unlike SelectorFn it may *refuse* the
   /// request (e.g. every candidate's site is at its concurrency cap) by
   /// returning an error; the request then fails with that status without
   /// counting as a replication failure, and the caller decides what to do.
@@ -161,26 +158,23 @@ class GdmpServer {
     acl_ = std::move(acl);
     use_acl_ = true;
   }
-  void set_replica_selector(ReplicaSelector selector) {
+  /// Installs the source-replica selector (default: first_replica_selector).
+  void set_replica_selector(SelectorFn selector) {
     selector_ = std::move(selector);
   }
 
-  /// Attaches producer/consumer counters (scope e.g. "site.cern.gdmp");
-  /// the "rpc" child scope instruments the request-manager RPC server.
-  /// The stats() struct stays authoritative; the registry mirrors it.
+  /// Binds every stats() count into `scope` (e.g. "site.cern.gdmp") as a
+  /// counter that reads the field itself; the "rpc" child scope instruments
+  /// the request-manager RPC server.
   void set_metrics(const obs::MetricsScope& scope);
 
   // Scheduler feedback, recorded here so the server's stats block covers
   // the whole replication pipeline.
   void note_replication_retried() noexcept {
     ++stats_.replications_retried;
-    if (metrics_.replications_retried) metrics_.replications_retried->add();
   }
   void note_replication_dead_lettered() noexcept {
     ++stats_.replications_dead_lettered;
-    if (metrics_.replications_dead_lettered) {
-      metrics_.replications_dead_lettered->add();
-    }
   }
 
   /// Site-local pool path of a logical file.
@@ -226,7 +220,6 @@ class GdmpServer {
                           ReplicateDone done);
   void count_replication_failure() noexcept {
     ++stats_.replication_failures;
-    if (metrics_.replication_failures) metrics_.replication_failures->add();
   }
 
   SiteServices& site_;
@@ -237,7 +230,7 @@ class GdmpServer {
   DataMover data_mover_;
   StorageManager storage_manager_;
   FileTypeRegistry plugins_;
-  ReplicaSelector selector_;
+  SelectorFn selector_;
   ReplicationEnqueue enqueue_replication_;
   security::AccessControl acl_;
   bool use_acl_ = false;
@@ -247,18 +240,6 @@ class GdmpServer {
   std::map<LogicalFileName, PublishedFile> export_catalog_;
   std::map<std::uint64_t, std::unique_ptr<rpc::RpcClient>> peers_;
   GdmpServerStats stats_;
-  struct ServerMetrics {
-    obs::Counter* files_published = nullptr;
-    obs::Counter* notifications_sent = nullptr;
-    obs::Counter* notifications_received = nullptr;
-    obs::Counter* notifications_queued = nullptr;
-    obs::Counter* files_replicated = nullptr;
-    obs::Counter* replication_failures = nullptr;
-    obs::Counter* stage_requests_served = nullptr;
-    obs::Counter* replications_retried = nullptr;
-    obs::Counter* replications_dead_lettered = nullptr;
-  };
-  ServerMetrics metrics_;
   obs::TransferChannel transfer_channel_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -321,7 +321,6 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
                       (stream_raw->parser.payload_remaining() + fresh);
     session->received.add(pos, fresh);
     stats_.bytes_received += fresh;
-    if (metrics_.bytes_received) metrics_.bytes_received->add(fresh);
   };
   stream->parser.on_block_begin = [session](const BlockHeader& header) {
     if (!session->recv_seed_set) {
@@ -411,7 +410,6 @@ void FtpServer::handle_retr(std::uint64_t, std::span<const std::uint8_t> params,
     if (stream) stream->drained_counted = false;
   }
   ++stats_.retrievals;
-  if (metrics_.retrievals) metrics_.retrievals->add();
   maybe_start_retr(session);
 }
 
@@ -440,7 +438,6 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
       stream->conn->send_synthetic(range.length);
       stream_bytes += range.length;
       stats_.bytes_sent += range.length;
-      if (metrics_.bytes_sent) metrics_.bytes_sent->add(range.length);
     }
     // Server-side perf marker: bytes queued for this stripe.
     emit_perf(session->retr.path, stream_bytes, i, session->streams.size());
@@ -512,7 +509,6 @@ void FtpServer::handle_stor(std::uint64_t, std::span<const std::uint8_t> params,
   session->stor.reserved = total;
   session->stor.respond = std::move(respond);
   ++stats_.stores;
-  if (metrics_.stores) metrics_.stores->add();
   check_stor_complete(session);
 }
 
@@ -589,7 +585,6 @@ void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
     return;
   }
   ++stats_.third_party;
-  if (metrics_.third_party) metrics_.third_party->add();
   // Third-party control: this server acts as the sending party of a
   // server-to-server transfer that the remote client orchestrates.
   auto client = std::make_shared<FtpClient>(stack_, ca_, credential_);
@@ -632,9 +627,7 @@ void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
   }
   const Bytes total = read->total;
   ++stats_.retrievals;
-  if (metrics_.retrievals) metrics_.retrievals->add();
   stats_.bytes_sent += total;
-  if (metrics_.bytes_sent) metrics_.bytes_sent->add(total);
   if (total > 0) pool_.disk().read(total, [] {});  // read-ahead, pipelined
 
   // One seed per stripe: the fluid analogue of per-block content seeds. A
@@ -674,9 +667,7 @@ void FtpServer::handle_fput(std::uint64_t, std::span<const std::uint8_t> params,
   }
   pool_.release_reservation(total);
   ++stats_.stores;
-  if (metrics_.stores) metrics_.stores->add();
   stats_.bytes_received += total;
-  if (metrics_.bytes_received) metrics_.bytes_received->add(total);
   commit_file(path, total, seed, std::move(respond));
 }
 
@@ -684,7 +675,6 @@ std::uint64_t FtpServer::served_seed(std::uint64_t seed) {
   if (config_.corrupt_probability > 0 &&
       fault_rng_.chance(config_.corrupt_probability)) {
     ++stats_.blocks_corrupted;
-    if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
     return seed ^ 0xbadc0ffee0ddf00dULL;
   }
   return seed;
@@ -762,12 +752,12 @@ void FtpServer::destroy_session(const std::shared_ptr<DataSession>& session) {
 }
 
 void FtpServer::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.retrievals = scope.counter("retrievals");
-  metrics_.stores = scope.counter("stores");
-  metrics_.third_party = scope.counter("third_party");
-  metrics_.blocks_corrupted = scope.counter("blocks_corrupted");
-  metrics_.bytes_sent = scope.counter("bytes_sent");
-  metrics_.bytes_received = scope.counter("bytes_received");
+  scope.counter("retrievals", stats_.retrievals);
+  scope.counter("stores", stats_.stores);
+  scope.counter("third_party", stats_.third_party);
+  scope.counter("blocks_corrupted", stats_.blocks_corrupted);
+  scope.counter("bytes_sent", stats_.bytes_sent);
+  scope.counter("bytes_received", stats_.bytes_received);
   rpc_.set_metrics(scope.scope("rpc"));
 }
 

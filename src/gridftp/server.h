@@ -65,6 +65,8 @@ class FtpServer {
   void stop();
 
   const FtpServerStats& stats() const noexcept { return stats_; }
+  /// The control-channel RPC server (request/auth-failure counts).
+  const rpc::RpcServer& rpc() const noexcept { return rpc_; }
   /// Runtime flaky-link toggle: corruption probability of each data block
   /// from now on (tests/benches flip a healthy server bad and back).
   void set_corrupt_probability(double p) noexcept {
@@ -78,8 +80,9 @@ class FtpServer {
     return credential_;
   }
 
-  /// Attaches transfer/byte counters (scope e.g. "site.cern.gridftp"); the
-  /// "rpc" child scope instruments the embedded control-channel server.
+  /// Binds the stats() transfer/byte counts into `scope` (e.g.
+  /// "site.cern.gridftp"); the "rpc" child scope instruments the embedded
+  /// control-channel server.
   void set_metrics(const obs::MetricsScope& scope);
 
   /// Server-side marker channel: RETR sessions publish per-stripe perf
@@ -153,15 +156,6 @@ class FtpServer {
   rpc::RpcServer rpc_;
   Rng fault_rng_;
   FtpServerStats stats_;
-  struct ServerMetrics {
-    obs::Counter* retrievals = nullptr;
-    obs::Counter* stores = nullptr;
-    obs::Counter* third_party = nullptr;
-    obs::Counter* blocks_corrupted = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
-  };
-  ServerMetrics metrics_;
   obs::TransferChannel* channel_ = nullptr;
   common::UnorderedMap<std::uint64_t, ControlState> control_state_;  // lookup-only
   // Iterated at teardown to cancel timers and tear down streams (both

@@ -97,6 +97,22 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *slot->counter;
 }
 
+void MetricsRegistry::bind_counter(std::string_view name,
+                                   const std::int64_t& source) {
+  const auto it = metrics_.find(name);
+  if (it != metrics_.end()) {
+    GDMP_ERROR("obs.metrics", "metric '", std::string(name),
+               "' already registered as ", kind_name(it->second.kind),
+               "; not binding it to a stats field");
+    return;
+  }
+  Slot slot;
+  slot.kind = MetricKind::kCounter;
+  slot.counter = std::make_unique<Counter>(&source);
+  metrics_.emplace(std::string(name), std::move(slot));
+  ++generation_;
+}
+
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   Slot* slot = find_or_create(name, MetricKind::kGauge);
   if (slot == nullptr) return scratch_gauge_;
@@ -181,6 +197,11 @@ std::string MetricsScope::full_name(std::string_view name) const {
 Counter* MetricsScope::counter(std::string_view name) const {
   if (registry_ == nullptr) return nullptr;
   return &registry_->counter(full_name(name));
+}
+
+void MetricsScope::counter(std::string_view name,
+                           const std::int64_t& source) const {
+  if (registry_ != nullptr) registry_->bind_counter(full_name(name), source);
 }
 
 Gauge* MetricsScope::gauge(std::string_view name) const {

@@ -1,11 +1,22 @@
 // Metrics registry: named counters, gauges and histograms.
 //
 // One registry per testbed Site (labelled scope "site.<name>"); subsystems
-// receive a MetricsScope and cache the returned metric pointers, so the
-// per-event cost of instrumentation is one null check plus one add. A
-// default-constructed (detached) scope hands out nullptr for every metric,
-// which is the compiled-in-but-disabled mode the observability bench
-// (`bench_obs_overhead`) keeps under 2% of `bench_pipeline`.
+// receive a MetricsScope in set_metrics(). A fact a subsystem already
+// counts in its own stats struct is registered as a *bound* counter: the
+// registry entry reads that stats field, so there is one count per fact
+// and recording it costs nothing beyond the stats increment. Only values
+// no field holds (derived gauges, histograms, sums over other objects) are
+// owned metrics that the subsystem pushes through a cached pointer, at one
+// null check plus one add or set per event. A default-constructed
+// (detached) scope binds nothing and hands out nullptr for every owned
+// metric, which is the compiled-in-but-disabled mode the observability
+// bench (`bench_obs_overhead`) keeps under 2% of `bench_pipeline`.
+//
+// Lifetime: a registry must not be read (snapshot, dump, visit, a
+// TimeSeriesStore tick) after a subsystem bound into it is destroyed.
+// Owners declare the registry before the subsystems they bind (Site, Grid,
+// the benches), so it is destroyed after them and read only while they
+// live.
 //
 // Names are hierarchical dotted paths ("site.cern.gridftp.bytes_sent").
 // Snapshots export to JSON and to a flat text dump, and support delta
@@ -28,14 +39,24 @@ namespace gdmp::obs {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Monotonic event/byte count.
+/// Monotonic event/byte count. An owned counter holds its value and is
+/// bumped with add(); a bound counter reads a subsystem's stats field
+/// (MetricsRegistry::bind_counter) and ignores add().
 class Counter {
  public:
+  Counter() = default;
+  explicit Counter(const std::int64_t* source) noexcept : source_(source) {}
+
   void add(std::int64_t n = 1) noexcept { value_ += n; }
-  std::int64_t value() const noexcept { return value_; }
+  std::int64_t value() const noexcept {
+    return source_ != nullptr ? *source_ : value_;
+  }
+  /// The bound stats field; null for an owned counter.
+  const std::int64_t* source() const noexcept { return source_; }
 
  private:
   std::int64_t value_ = 0;
+  const std::int64_t* source_ = nullptr;  // bound stats field, if any
 };
 
 /// Last-write-wins level (queue depth, bytes used, in-flight transfers).
@@ -116,6 +137,14 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, std::vector<double> bounds = {});
 
+  /// Creates counter `name` bound to `source`: every read returns the
+  /// field's current value. A name already taken (by any kind, bound or
+  /// owned) is an instrumentation bug: it is logged and the existing entry
+  /// is left as it is. `source` must outlive every read of this registry
+  /// (see the lifetime note at the top of this file).
+  void bind_counter(std::string_view name, const std::int64_t& source);
+  void bind_counter(std::string_view name, const std::int64_t&&) = delete;
+
   /// A scope whose metric names are prefixed with `prefix` + ".".
   MetricsScope scope(std::string prefix);
 
@@ -133,9 +162,10 @@ class MetricsRegistry {
                                      const Histogram* histogram)>;
   void visit(const Visitor& fn) const;
 
-  /// Monotonic structure version: bumped when a metric is created and when
-  /// the registry is cleared, so pointer-caching consumers know when their
-  /// cached Counter*/Gauge*/Histogram* must be re-resolved.
+  /// Monotonic structure version: bumped when a metric is created or bound
+  /// and when the registry is cleared (which also drops every binding), so
+  /// pointer-caching consumers know when their cached Counter*/Gauge*/
+  /// Histogram* must be re-resolved.
   std::uint64_t generation() const noexcept { return generation_; }
 
   std::size_t size() const noexcept { return metrics_.size(); }
@@ -160,9 +190,9 @@ class MetricsRegistry {
 };
 
 /// A (registry, prefix) pair. Copyable; a default-constructed scope is
-/// detached and returns nullptr from every accessor, so instrumented
-/// components cache the pointers once and pay only a null check when
-/// metrics are off.
+/// detached: it binds nothing and returns nullptr from every accessor, so
+/// instrumented components cache the pointers once and pay only a null
+/// check when metrics are off.
 class MetricsScope {
  public:
   MetricsScope() = default;
@@ -170,6 +200,9 @@ class MetricsScope {
   bool attached() const noexcept { return registry_ != nullptr; }
 
   Counter* counter(std::string_view name) const;
+  /// Binds prefixed `name` to a stats field (MetricsRegistry::bind_counter).
+  void counter(std::string_view name, const std::int64_t& source) const;
+  void counter(std::string_view name, const std::int64_t&&) const = delete;
   Gauge* gauge(std::string_view name) const;
   Histogram* histogram(std::string_view name,
                        std::vector<double> bounds = {}) const;

@@ -53,23 +53,23 @@ ReplicationScheduler::~ReplicationScheduler() {
 }
 
 void ReplicationScheduler::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.submitted = scope.counter("submitted");
-  metrics_.completed = scope.counter("completed");
-  metrics_.retries = scope.counter("retries");
-  metrics_.dead_lettered = scope.counter("dead_lettered");
-  metrics_.cancelled = scope.counter("cancelled");
-  metrics_.busy_deferrals = scope.counter("busy_deferrals");
-  metrics_.bytes_moved = scope.counter("bytes_moved");
-  metrics_.queue_depth = scope.gauge("queue_depth");
-  metrics_.active = scope.gauge("active");
+  scope.counter("submitted", stats_.submitted);
+  scope.counter("completed", stats_.completed);
+  scope.counter("retries", stats_.retries);
+  scope.counter("dead_lettered", stats_.dead_lettered);
+  scope.counter("cancelled", stats_.cancelled);
+  scope.counter("busy_deferrals", stats_.busy_deferrals);
+  scope.counter("bytes_moved", stats_.bytes_moved);
+  queue_depth_gauge_ = scope.gauge("queue_depth");
+  active_gauge_ = scope.gauge("active");
   update_gauges();
 }
 
 void ReplicationScheduler::update_gauges() {
-  if (metrics_.queue_depth) {
-    metrics_.queue_depth->set(static_cast<double>(queue_depth()));
+  if (queue_depth_gauge_) {
+    queue_depth_gauge_->set(static_cast<double>(queue_depth()));
   }
-  if (metrics_.active) metrics_.active->set(active_);
+  if (active_gauge_) active_gauge_->set(active_);
 }
 
 void ReplicationScheduler::begin_queue_wait(Request& request) {
@@ -120,7 +120,6 @@ std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
   ready_.insert(ReadyKey{request.priority, request.seq, id});
   requests_.emplace(id, std::move(request));
   ++stats_.submitted;
-  if (metrics_.submitted) metrics_.submitted->add();
   pump();
   update_gauges();
   return id;
@@ -184,7 +183,6 @@ bool ReplicationScheduler::cancel(std::uint64_t id) {
   const LogicalFileName lfn = it->second.lfn;
   requests_.erase(it);
   ++stats_.cancelled;
-  if (metrics_.cancelled) metrics_.cancelled->add();
   update_gauges();
   if (done) {
     done(make_error(ErrorCode::kAborted, "replication cancelled: " + lfn));
@@ -233,7 +231,6 @@ void ReplicationScheduler::dispatch(Request& request) {
     const auto it = requests_.find(id);
     if (it != requests_.end()) it->second.busy_bounced = true;
     ++stats_.busy_deferrals;
-    if (metrics_.busy_deferrals) metrics_.busy_deferrals->add();
     return make_error(ErrorCode::kResourceExhausted,
                       "every source site at its in-flight cap");
   };
@@ -286,11 +283,9 @@ void ReplicationScheduler::on_attempt_done(
   if (result.is_ok() || result.code() == ErrorCode::kAlreadyExists) {
     if (result.is_ok()) {
       stats_.bytes_moved += result->bytes;
-      if (metrics_.bytes_moved) metrics_.bytes_moved->add(result->bytes);
       if (!source.empty()) ++stats_.completed_by_source[source];
     }
     ++stats_.completed;
-    if (metrics_.completed) metrics_.completed->add();
     settle(it, std::move(result));
     return;
   }
@@ -306,7 +301,6 @@ void ReplicationScheduler::on_attempt_done(
                                        request.attempts,
                                        simulator().now()});
     ++stats_.dead_lettered;
-    if (metrics_.dead_lettered) metrics_.dead_lettered->add();
     server_.note_replication_dead_lettered();
     settle(it, std::move(result));
     return;
@@ -335,7 +329,6 @@ void ReplicationScheduler::settle(
 void ReplicationScheduler::schedule_retry(Request& request,
                                           const Status& cause) {
   ++stats_.retries;
-  if (metrics_.retries) metrics_.retries->add();
   server_.note_replication_retried();
   const SimDuration delay = backoff_after(request.attempts);
   GDMP_DEBUG("sched", "retrying ", request.lfn, " in ", to_seconds(delay),

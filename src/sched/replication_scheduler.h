@@ -101,9 +101,9 @@ class ReplicationScheduler {
   /// unknown or in-flight ids. The request's callback fires with kAborted.
   bool cancel(std::uint64_t id);
 
-  /// Attaches queue/outcome counters and depth gauges (scope e.g.
-  /// "site.cern.sched"). The stats() struct stays authoritative; the
-  /// registry mirrors it.
+  /// Binds the stats() queue/outcome counts into `scope` (e.g.
+  /// "site.cern.sched") as counters that read the fields themselves, and
+  /// attaches the queue-depth and active-transfer gauges.
   void set_metrics(const obs::MetricsScope& scope);
 
   CostAwareSelector& cost_selector() noexcept { return selector_; }
@@ -181,18 +181,8 @@ class ReplicationScheduler {
   std::map<std::string, int> per_source_;
   std::vector<DeadLetter> dead_letters_;
   SchedulerStats stats_;
-  struct SchedMetrics {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* dead_lettered = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* busy_deferrals = nullptr;
-    obs::Counter* bytes_moved = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    obs::Gauge* active = nullptr;
-  };
-  SchedMetrics metrics_;
+  obs::Gauge* queue_depth_gauge_ = nullptr;
+  obs::Gauge* active_gauge_ = nullptr;
   obs::TransferChannel::Token channel_token_ = 0;
   int active_ = 0;
   std::uint64_t next_id_ = 1;

@@ -30,11 +30,9 @@ Result<FileInfo> DiskPool::lookup(std::string_view path) {
   auto result = fs_.stat(path);
   if (result.is_ok()) {
     ++stats_.hits;
-    if (metrics_.hits) metrics_.hits->add();
     touch(std::string(path));
   } else {
     ++stats_.misses;
-    if (metrics_.misses) metrics_.misses->add();
   }
   return result;
 }
@@ -121,10 +119,6 @@ bool DiskPool::make_room(Bytes needed, std::string_view keep) {
     needed -= info->size;
     ++stats_.evictions;
     stats_.bytes_evicted += info->size;
-    if (metrics_.evictions) {
-      metrics_.evictions->add();
-      metrics_.bytes_evicted->add(info->size);
-    }
     (void)fs_.remove(candidate);
     auto dead = std::next(it).base();
     lru_pos_.erase(candidate);
@@ -143,19 +137,19 @@ void DiskPool::touch(const std::string& path) {
 }
 
 void DiskPool::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.hits = scope.counter("hits");
-  metrics_.misses = scope.counter("misses");
-  metrics_.evictions = scope.counter("evictions");
-  metrics_.bytes_evicted = scope.counter("bytes_evicted");
-  metrics_.used_bytes = scope.gauge("used_bytes");
-  metrics_.free_bytes = scope.gauge("free_bytes");
+  scope.counter("hits", stats_.hits);
+  scope.counter("misses", stats_.misses);
+  scope.counter("evictions", stats_.evictions);
+  scope.counter("bytes_evicted", stats_.bytes_evicted);
+  used_bytes_gauge_ = scope.gauge("used_bytes");
+  free_bytes_gauge_ = scope.gauge("free_bytes");
   update_space_gauges();
 }
 
 void DiskPool::update_space_gauges() {
-  if (metrics_.used_bytes == nullptr) return;
-  metrics_.used_bytes->set(static_cast<double>(used_bytes()));
-  metrics_.free_bytes->set(static_cast<double>(free_bytes()));
+  if (used_bytes_gauge_ == nullptr) return;
+  used_bytes_gauge_->set(static_cast<double>(used_bytes()));
+  free_bytes_gauge_->set(static_cast<double>(free_bytes()));
 }
 
 }  // namespace gdmp::storage

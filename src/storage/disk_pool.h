@@ -78,9 +78,9 @@ class DiskPool {
   const DiskPoolStats& stats() const noexcept { return stats_; }
   Disk& disk() noexcept { return disk_; }
 
-  /// Attaches cache metrics (scope e.g. "site.cern.storage.pool"): hit/miss
-  /// /eviction counters plus used/free-byte gauges kept current on every
-  /// mutation.
+  /// Attaches cache metrics (scope e.g. "site.cern.storage.pool"): the
+  /// stats() hit/miss/eviction counts as bound counters, plus used/free-byte
+  /// gauges kept current on every mutation.
   void set_metrics(const obs::MetricsScope& scope);
 
  private:
@@ -88,15 +88,6 @@ class DiskPool {
   bool make_room(Bytes needed, std::string_view keep);
   void touch(const std::string& path);
   void update_space_gauges();
-
-  struct PoolMetrics {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* bytes_evicted = nullptr;
-    obs::Gauge* used_bytes = nullptr;
-    obs::Gauge* free_bytes = nullptr;
-  };
 
   Bytes capacity_;
   Disk& disk_;
@@ -106,7 +97,8 @@ class DiskPool {
   // LRU bookkeeping: most recent at the front.
   std::list<std::string> lru_;
   common::UnorderedMap<std::string, std::list<std::string>::iterator> lru_pos_;  // lookup-only
-  PoolMetrics metrics_;
+  obs::Gauge* used_bytes_gauge_ = nullptr;
+  obs::Gauge* free_bytes_gauge_ = nullptr;
 };
 
 }  // namespace gdmp::storage

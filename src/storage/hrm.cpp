@@ -2,38 +2,30 @@
 
 namespace gdmp::storage {
 
-namespace {
-
-// Shared fail-all drain for both plug-ins: every parked stage/archive
-// completion fires exactly once even when the backend dies mid-delay.
-template <typename StageMap, typename ArchiveMap>
-void fail_parked(StageMap& staging, ArchiveMap& archiving, const char* who) {
-  auto stages = std::move(staging);
+StorageBackend::~StorageBackend() {
+  // Every parked stage/archive completion fires exactly once even when the
+  // backend dies mid-delay.
+  const std::string who = std::string(plugin_.name) + " backend";
+  auto stages = std::move(staging_);
   for (auto& [id, job] : stages) {
     job.done(make_error(ErrorCode::kUnavailable,
-                        std::string(who) + " destroyed while staging " +
-                            job.path));
+                        who + " destroyed while staging " + job.path));
   }
-  auto archives = std::move(archiving);
+  auto archives = std::move(archiving_);
   for (auto& [id, job] : archives) {
     job.done(make_error(ErrorCode::kUnavailable,
-                        std::string(who) + " destroyed while archiving " +
-                            job.info.path));
+                        who + " destroyed while archiving " + job.info.path));
   }
 }
 
-}  // namespace
-
-HrmBackend::~HrmBackend() { fail_parked(staging_, archiving_, "hrm backend"); }
-
-void HrmBackend::stage_to_disk(const std::string& path, DiskPool& pool,
-                               StageCallback done) {
+void StorageBackend::stage_to_disk(const std::string& path, DiskPool& pool,
+                                   StageCallback done) {
   const std::uint64_t id = next_job_++;
   staging_.emplace(id, StageJob{path, &pool, std::move(done)});
   // The timer closure holds only the id: teardown fails the parked job and
   // the armed event is silenced by the queue's sentinel.
   // gdmp-lint: owned-callback (closure owned by pending_, a member destroyed with *this)
-  pending_.schedule(rpc_overhead_, [this, id] {
+  pending_.schedule(plugin_.request_delay, [this, id] {
     auto node = staging_.extract(id);
     if (node.empty()) return;
     mss_.stage(node.mapped().path, *node.mapped().pool,
@@ -41,40 +33,11 @@ void HrmBackend::stage_to_disk(const std::string& path, DiskPool& pool,
   });
 }
 
-void HrmBackend::archive_file(const FileInfo& info, ArchiveCallback done) {
+void StorageBackend::archive_file(const FileInfo& info, ArchiveCallback done) {
   const std::uint64_t id = next_job_++;
   archiving_.emplace(id, ArchiveJob{info, std::move(done)});
   // gdmp-lint: owned-callback (closure owned by pending_, a member destroyed with *this)
-  pending_.schedule(rpc_overhead_, [this, id] {
-    auto node = archiving_.extract(id);
-    if (node.empty()) return;
-    mss_.archive(node.mapped().info, std::move(node.mapped().done));
-  });
-}
-
-ScriptStagerBackend::~ScriptStagerBackend() {
-  fail_parked(staging_, archiving_, "script stager");
-}
-
-void ScriptStagerBackend::stage_to_disk(const std::string& path,
-                                        DiskPool& pool, StageCallback done) {
-  const std::uint64_t id = next_job_++;
-  staging_.emplace(id, StageJob{path, &pool, std::move(done)});
-  // gdmp-lint: owned-callback (closure owned by pending_, a member destroyed with *this)
-  pending_.schedule(spawn_latency_, [this, id] {
-    auto node = staging_.extract(id);
-    if (node.empty()) return;
-    mss_.stage(node.mapped().path, *node.mapped().pool,
-               std::move(node.mapped().done));
-  });
-}
-
-void ScriptStagerBackend::archive_file(const FileInfo& info,
-                                       ArchiveCallback done) {
-  const std::uint64_t id = next_job_++;
-  archiving_.emplace(id, ArchiveJob{info, std::move(done)});
-  // gdmp-lint: owned-callback (closure owned by pending_, a member destroyed with *this)
-  pending_.schedule(spawn_latency_, [this, id] {
+  pending_.schedule(plugin_.request_delay, [this, id] {
     auto node = archiving_.extract(id);
     if (node.empty()) return;
     mss_.archive(node.mapped().info, std::move(node.mapped().done));

@@ -4,15 +4,13 @@
 // the original *staging script* solution and the newer *HRM* API "which
 // provides a common interface to be used to access different Mass Storage
 // Systems" and "a cleaner interface as compared to the staging script
-// solution". Both are implemented here against the same simulated MSS so
-// their overheads can be compared (the script path pays a process-spawn
-// latency per request).
+// solution". Both are one StorageBackend against the same simulated MSS,
+// differing only in per-request delay, so their overheads can be compared
+// (the script path pays a process-spawn latency per request).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "sim/simulator.h"
@@ -21,42 +19,42 @@
 
 namespace gdmp::storage {
 
-/// Abstract staging interface used by the GDMP Storage Manager Service.
+/// One MSS plug-in flavour: its name and the fixed cost each request pays
+/// before it reaches the MSS.
+struct MssPlugin {
+  const char* name;
+  SimDuration request_delay;
+};
+
+/// HRM plug-in: direct API calls onto the MSS (models the CORBA-based HRM),
+/// one RPC round trip per request.
+inline constexpr MssPlugin kHrmPlugin{"hrm", 5 * kMillisecond};
+/// Staging-script plug-in: each request forks an external stager process
+/// (models the pre-HRM GDMP deployment; noticeably higher per-request cost).
+inline constexpr MssPlugin kScriptStagerPlugin{"script", 400 * kMillisecond};
+
+/// The staging interface used by the GDMP Storage Manager Service: every
+/// request waits out the plug-in's delay, then goes to the MSS.
 class StorageBackend {
  public:
   using StageCallback = MassStorageSystem::StageCallback;
   using ArchiveCallback = MassStorageSystem::ArchiveCallback;
 
-  virtual ~StorageBackend() = default;
+  StorageBackend(sim::Simulator& simulator, MassStorageSystem& mss,
+                 MssPlugin plugin)
+      : mss_(mss), plugin_(plugin), pending_(simulator) {}
 
-  virtual void stage_to_disk(const std::string& path, DiskPool& pool,
-                             StageCallback done) = 0;
-  virtual void archive_file(const FileInfo& info, ArchiveCallback done) = 0;
-  virtual bool in_archive(std::string_view path) const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// HRM plug-in: direct API calls onto the MSS (models the CORBA-based HRM).
-class HrmBackend final : public StorageBackend {
- public:
-  HrmBackend(sim::Simulator& simulator, MassStorageSystem& mss,
-             SimDuration rpc_overhead = 5 * kMillisecond)
-      : simulator_(simulator),
-        mss_(mss),
-        rpc_overhead_(rpc_overhead),
-        pending_(simulator) {}
-
-  /// Fails every parked completion (kUnavailable): RPC-delay timers are
-  /// silenced on teardown, so nobody else would fire them.
-  ~HrmBackend() override;
+  /// Fails every parked completion (kUnavailable): request-delay timers
+  /// are silenced on teardown, so nobody else would fire them.
+  ~StorageBackend();
 
   void stage_to_disk(const std::string& path, DiskPool& pool,
-                     StageCallback done) override;
-  void archive_file(const FileInfo& info, ArchiveCallback done) override;
-  bool in_archive(std::string_view path) const override {
+                     StageCallback done);
+  void archive_file(const FileInfo& info, ArchiveCallback done);
+  bool in_archive(std::string_view path) const {
     return mss_.in_archive(path);
   }
-  const char* name() const override { return "hrm"; }
+  const char* name() const noexcept { return plugin_.name; }
 
  private:
   struct StageJob {
@@ -69,60 +67,15 @@ class HrmBackend final : public StorageBackend {
     ArchiveCallback done;
   };
 
-  sim::Simulator& simulator_;
   MassStorageSystem& mss_;
-  SimDuration rpc_overhead_;  // one CORBA round trip per request
+  MssPlugin plugin_;
   /// Parked requests, keyed so the timer closures carry no owning state and
   /// the destructor can fail whatever is still waiting.
   std::uint64_t next_job_ = 0;
   std::map<std::uint64_t, StageJob> staging_;
   std::map<std::uint64_t, ArchiveJob> archiving_;
-  /// All in-flight RPC-delay completions share one re-armed kernel timer;
-  /// the queue's sentinel silences armed events on teardown.
-  sim::TimerQueue pending_;
-};
-
-/// Staging-script plug-in: each request forks an external stager process
-/// (models the pre-HRM GDMP deployment; noticeably higher per-request cost).
-class ScriptStagerBackend final : public StorageBackend {
- public:
-  ScriptStagerBackend(sim::Simulator& simulator, MassStorageSystem& mss,
-                      SimDuration spawn_latency = 400 * kMillisecond)
-      : simulator_(simulator),
-        mss_(mss),
-        spawn_latency_(spawn_latency),
-        pending_(simulator) {}
-
-  /// Fails every parked completion (kUnavailable), mirroring HrmBackend.
-  ~ScriptStagerBackend() override;
-
-  void stage_to_disk(const std::string& path, DiskPool& pool,
-                     StageCallback done) override;
-  void archive_file(const FileInfo& info, ArchiveCallback done) override;
-  bool in_archive(std::string_view path) const override {
-    return mss_.in_archive(path);
-  }
-  const char* name() const override { return "script"; }
-
- private:
-  struct StageJob {
-    std::string path;
-    DiskPool* pool;
-    StageCallback done;
-  };
-  struct ArchiveJob {
-    FileInfo info;
-    ArchiveCallback done;
-  };
-
-  sim::Simulator& simulator_;
-  MassStorageSystem& mss_;
-  SimDuration spawn_latency_;
-  std::uint64_t next_job_ = 0;
-  std::map<std::uint64_t, StageJob> staging_;
-  std::map<std::uint64_t, ArchiveJob> archiving_;
-  /// All spawn-delay completions share one re-armed kernel timer; the
-  /// queue's sentinel silences armed events on teardown.
+  /// All in-flight request-delay completions share one re-armed kernel
+  /// timer; the queue's sentinel silences armed events on teardown.
   sim::TimerQueue pending_;
 };
 

@@ -95,8 +95,9 @@ class Grid {
   /// Publishes the busy-time fraction of every site uplink since the last
   /// call (satellite gauges are caller-sampled; nothing self-schedules).
   /// Under the fluid model the gauges read the flow engine's link
-  /// utilization instead, and a "bytes_moved" counter per uplink mirrors
-  /// FlowEngine::link_bytes_moved.
+  /// utilization instead, and a "bytes_moved" counter per uplink is
+  /// advanced to FlowEngine::link_bytes_moved (a double integral, so it is
+  /// pushed rather than bound).
   void sample_uplink_utilization();
 
   /// Null unless GridConfig::heartbeat_period > 0.
@@ -109,7 +110,10 @@ class Grid {
   security::CertificateAuthority ca_;
   objstore::EventModel model_;
   net::GridTopology topology_;
-  // Declared before the flow engine and sites: both cache metric pointers.
+  // Declared before the flow engine (after network_, whose uplinks outlive
+  // it): it holds counters bound to their stats fields, so it must be
+  // destroyed after the flow engine and never read once it is gone (see
+  // obs/metrics.h). Sites keep their own registries.
   obs::MetricsRegistry metrics_;
   std::unique_ptr<flow::FlowEngine> flow_engine_;
   net::NodeId catalog_node_ = net::kInvalidNode;

@@ -41,13 +41,11 @@ Site::Site(sim::Simulator& simulator, net::Network& network, net::Node& host,
       mss_(config_.has_mss ? std::make_unique<storage::MassStorageSystem>(
                                  simulator, config_.mss)
                            : nullptr),
-      backend_(mss_ ? (config_.use_script_stager
-                           ? std::unique_ptr<storage::StorageBackend>(
-                                 std::make_unique<storage::ScriptStagerBackend>(
-                                     simulator, *mss_))
-                           : std::unique_ptr<storage::StorageBackend>(
-                                 std::make_unique<storage::HrmBackend>(
-                                     simulator, *mss_)))
+      backend_(mss_ ? std::make_unique<storage::StorageBackend>(
+                          simulator, *mss_,
+                          config_.use_script_stager
+                              ? storage::kScriptStagerPlugin
+                              : storage::kHrmPlugin)
                     : nullptr),
       federation_(config_.has_federation
                       ? std::make_unique<objstore::Federation>(

@@ -30,9 +30,10 @@ struct SiteConfig {
   gridftp::FtpServerConfig ftp{};
   objrep::ObjectReplicationConfig objrep{};
   sched::SchedulerConfig sched{};
-  /// When false, subsystems keep detached metric scopes (pointers stay
-  /// null) and the transfer channel gets no registry subscriber — the
-  /// compiled-in-but-disabled mode bench_obs_overhead measures.
+  /// When false, subsystems keep detached metric scopes (nothing is bound
+  /// and owned-metric pointers stay null) and the transfer channel gets no
+  /// registry subscriber — the compiled-in-but-disabled mode
+  /// bench_obs_overhead measures.
   bool enable_metrics = true;
   /// Transfer-model seam: when set, every replication payload this site
   /// originates (GDMP pulls, XFER pushes) moves as rate-based flows on this
@@ -80,8 +81,9 @@ class Site {
  private:
   SiteConfig config_;
   net::Node& host_;
-  // Declared before the subsystems so the cached metric pointers they hold
-  // outlive every instrumented component.
+  // Declared before the subsystems: the registry holds bound counters that
+  // read their stats fields, so it must be destroyed after them (and is
+  // never read once they are gone; see obs/metrics.h).
   obs::MetricsRegistry metrics_;
   net::TcpStack stack_;
   storage::Disk disk_;

@@ -296,7 +296,7 @@ TEST(FlowEngine, ChurnRenegotiatesOnlyTouchedLinks) {
 
 TEST(FlowEngine, RegistryCountsClassesPerRenegotiation) {
   // Three flows on one path form two rate classes (windowed and not); the
-  // registry mirrors the stats, and classes count the closure's classes
+  // registry reads the stats, and classes count the closure's classes
   // while flows_recomputed counts the flows they cover.
   PairNet net;
   FlowEngine engine(net.simulator, net.network);

@@ -125,6 +125,109 @@ TEST(Metrics, JsonExportParsesBack) {
   EXPECT_NE(dump.find("site.a.pool.used"), std::string::npos);
 }
 
+TEST(Metrics, BoundCounterReadsTheLiveField) {
+  MetricsRegistry registry;
+  TimeSeriesStore store;
+  store.add_registry(&registry);
+  std::int64_t field = 5;
+  registry.scope("site.a").counter("events", field);
+  ASSERT_EQ(registry.size(), 1u);
+
+  const MetricsSnapshot before = registry.snapshot();
+  ASSERT_EQ(before.entries.size(), 1u);
+  EXPECT_EQ(before.entries[0].name, "site.a.events");
+  EXPECT_EQ(before.entries[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(before.entries[0].counter, 5);
+  store.tick();
+  EXPECT_EQ(store.counters().at("site.a.events").delta, 5);
+
+  // The subsystem bumps only its own field; every reader follows it.
+  field += 3;
+  EXPECT_EQ(registry.counter("site.a.events").value(), 8);
+  EXPECT_NE(registry.dump().find("site.a.events 8"), std::string::npos);
+  const MetricsSnapshot delta = registry.snapshot().delta_since(before);
+  ASSERT_EQ(delta.entries.size(), 1u);
+  EXPECT_EQ(delta.entries[0].counter, 3);
+  std::int64_t visited = -1;
+  registry.visit([&](const std::string& name, MetricKind kind,
+                     const Counter* counter, const Gauge*, const Histogram*) {
+    EXPECT_EQ(name, "site.a.events");
+    EXPECT_EQ(kind, MetricKind::kCounter);
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(counter->source(), &field);
+    visited = counter->value();
+  });
+  EXPECT_EQ(visited, 8);
+  store.tick();
+  EXPECT_EQ(store.counters().at("site.a.events").total, 8);
+  EXPECT_EQ(store.counters().at("site.a.events").delta, 3);
+
+  // add() on a bound counter does not fork a second count.
+  registry.counter("site.a.events").add(100);
+  EXPECT_EQ(registry.counter("site.a.events").value(), 8);
+
+  // A detached scope binds nothing.
+  MetricsScope{}.counter("events", field);
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(Metrics, BindingATakenNameIsLoggedAndKeepsTheEntry) {
+  Logger& logger = Logger::global();
+  std::vector<std::string> lines;
+  logger.set_sink(
+      [&](LogLevel, std::string_view line) { lines.emplace_back(line); });
+  logger.set_level(LogLevel::kError);
+
+  MetricsRegistry registry;
+  std::int64_t first = 1, second = 2;
+  registry.counter("x.owned").add(7);
+  registry.gauge("x.gauge").set(0.5);
+  registry.bind_counter("x.bound", first);
+  const std::uint64_t generation = registry.generation();
+
+  registry.bind_counter("x.owned", second);  // taken by an owned counter
+  registry.bind_counter("x.gauge", second);  // taken under another kind
+  registry.bind_counter("x.bound", second);  // bound to another field
+  EXPECT_EQ(lines.size(), 3u);
+  EXPECT_EQ(registry.generation(), generation);
+
+  logger.set_level(LogLevel::kOff);
+  logger.set_sink(nullptr);
+
+  second = 99;
+  std::map<std::string, MetricsSnapshot::Entry> by_name;
+  for (const auto& entry : registry.snapshot().entries) {
+    by_name[entry.name] = entry;
+  }
+  ASSERT_EQ(by_name.size(), 3u);
+  EXPECT_EQ(by_name["x.owned"].kind, MetricKind::kCounter);
+  EXPECT_EQ(by_name["x.owned"].counter, 7);
+  EXPECT_EQ(by_name["x.gauge"].kind, MetricKind::kGauge);
+  EXPECT_DOUBLE_EQ(by_name["x.gauge"].gauge, 0.5);
+  EXPECT_EQ(by_name["x.bound"].counter, 1);
+}
+
+TEST(Metrics, ClearDropsTheBinding) {
+  MetricsRegistry registry;
+  std::int64_t field = 4;
+  registry.bind_counter("x.bound", field);
+  const std::uint64_t generation = registry.generation();
+  registry.clear();
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_GT(registry.generation(), generation);
+
+  // The name is free again: an owned counter no longer reads the field...
+  Counter& owned = registry.counter("x.bound");
+  EXPECT_EQ(owned.source(), nullptr);
+  EXPECT_EQ(owned.value(), 0);
+  field = 6;
+  EXPECT_EQ(owned.value(), 0);
+  // ...and after another clear the field can be bound anew.
+  registry.clear();
+  registry.bind_counter("x.bound", field);
+  EXPECT_EQ(registry.counter("x.bound").value(), 6);
+}
+
 TEST(Json, RejectsMalformedInput) {
   std::string error;
   EXPECT_EQ(json_parse("{\"a\": ", &error), nullptr);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -290,7 +291,7 @@ TEST(ReplicationScheduler, BusyBounceCountsInStatsAndRegistry) {
   f.run_while(1200 * kSecond, [&] { return done; });
   ASSERT_TRUE(done);
   // Three free slots but one source capped at one in flight: dispatches
-  // bounce, and the registry mirror moves with stats().
+  // bounce, and the registry counter reads stats().
   const std::int64_t bounced =
       f.consumer().scheduler().stats().busy_deferrals;
   EXPECT_GT(bounced, 0);
@@ -523,6 +524,140 @@ TEST(ReplicationScheduler, BulkWorkloadHelpersRoundTrip) {
   EXPECT_GT(moved, 0);
   EXPECT_EQ(f.consumer().gdmp_server().stats().files_replicated,
             static_cast<std::int64_t>(files.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Registry invariant: the registry holds one count per fact.
+
+TEST(MetricsInvariant, EverySubsystemCounterEqualsItsStatsField) {
+  // A fluid grid run that bounces dispatches off a per-source cap, retries
+  // and dead-letters a request for a file nobody published, and replicates
+  // the rest. Afterwards every registry counter of the eight subsystems
+  // that keep stats must read exactly its stats field.
+  GridConfig config = two_site_config();
+  config.transfer_model = flow::TransferModel::kFluid;
+  config.sites[1].site.sched.max_concurrent = 3;
+  config.sites[1].site.sched.max_per_source = 1;
+  config.sites[1].site.sched.max_attempts = 2;
+  config.sites[1].site.sched.initial_backoff = 1 * kSecond;
+  config.sites[1].site.sched.max_backoff = 2 * kSecond;
+  SchedTwoSiteFixture f(config);
+  Grid& grid = f.grid;
+  // Fluid uplinks publish the flow engine's view, so bind one link's own
+  // counters under a spare scope to cover net::Link too.
+  net::Link& link = *grid.uplink(0);
+  link.set_metrics(grid.metrics().scope("test.link"));
+  const auto lfns = f.seed(3);
+
+  bool batch_done = false, missing_done = false;
+  f.consumer().scheduler().submit_batch(lfns, 0, [&](Status status, Bytes) {
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    batch_done = true;
+  });
+  f.consumer().scheduler().submit(
+      "lfn://cms/flat/never-published", 0,
+      [&](Result<gridftp::TransferResult> result) {
+        EXPECT_FALSE(result.is_ok());
+        missing_done = true;
+      });
+  f.run_while(1200 * kSecond, [&] { return batch_done && missing_done; });
+  ASSERT_TRUE(batch_done && missing_done);
+
+  const SchedulerStats& sched = f.consumer().scheduler().stats();
+  EXPECT_GT(sched.busy_deferrals, 0);
+  EXPECT_GE(sched.retries, 1);
+  EXPECT_EQ(sched.dead_lettered, 1);
+  ASSERT_NE(grid.flow_engine(), nullptr);
+  EXPECT_GT(grid.flow_engine()->stats().flows_completed, 0);
+
+  // name -> stats field, for every counter the eight subsystems register.
+  std::map<std::string, std::int64_t> expected;
+  const auto rpc = [&](const std::string& prefix, const rpc::RpcServer& s) {
+    expected[prefix + "requests_served"] = s.requests_served();
+    expected[prefix + "auth_failures"] = s.auth_failures();
+  };
+  for (std::size_t i = 0; i < grid.site_count(); ++i) {
+    Site& site = grid.site(i);
+    const std::string p = "site." + site.name() + ".";
+    const gridftp::FtpServerStats& ftp = site.ftp_server().stats();
+    expected[p + "gridftp.retrievals"] = ftp.retrievals;
+    expected[p + "gridftp.stores"] = ftp.stores;
+    expected[p + "gridftp.third_party"] = ftp.third_party;
+    expected[p + "gridftp.blocks_corrupted"] = ftp.blocks_corrupted;
+    expected[p + "gridftp.bytes_sent"] = ftp.bytes_sent;
+    expected[p + "gridftp.bytes_received"] = ftp.bytes_received;
+    rpc(p + "gridftp.rpc.", site.ftp_server().rpc());
+    const core::GdmpServerStats& gdmp = site.gdmp_server().stats();
+    expected[p + "gdmp.files_published"] = gdmp.files_published;
+    expected[p + "gdmp.notifications_sent"] = gdmp.notifications_sent;
+    expected[p + "gdmp.notifications_received"] = gdmp.notifications_received;
+    expected[p + "gdmp.notifications_queued"] = gdmp.notifications_queued;
+    expected[p + "gdmp.files_replicated"] = gdmp.files_replicated;
+    expected[p + "gdmp.replication_failures"] = gdmp.replication_failures;
+    expected[p + "gdmp.stage_requests_served"] = gdmp.stage_requests_served;
+    expected[p + "gdmp.replications_retried"] = gdmp.replications_retried;
+    expected[p + "gdmp.replications_dead_lettered"] =
+        gdmp.replications_dead_lettered;
+    rpc(p + "gdmp.rpc.", site.gdmp_server().rpc());
+    const auto cache = [&](const std::string& prefix, const auto& stats) {
+      expected[prefix + "hits"] = stats.hits;
+      expected[prefix + "misses"] = stats.misses;
+      expected[prefix + "stale_revalidate"] = stats.stale_probes;
+      expected[prefix + "invalidations"] = stats.invalidations;
+      expected[prefix + "evictions"] = stats.evictions;
+    };
+    const core::CatalogClient& catalog = site.gdmp_server().catalog();
+    cache(p + "gdmp.catalog_cache.lookup.", catalog.lookup_cache_stats());
+    cache(p + "gdmp.catalog_cache.search.", catalog.search_cache_stats());
+    const SchedulerStats& s = site.scheduler().stats();
+    expected[p + "sched.submitted"] = s.submitted;
+    expected[p + "sched.completed"] = s.completed;
+    expected[p + "sched.retries"] = s.retries;
+    expected[p + "sched.dead_lettered"] = s.dead_lettered;
+    expected[p + "sched.cancelled"] = s.cancelled;
+    expected[p + "sched.busy_deferrals"] = s.busy_deferrals;
+    expected[p + "sched.bytes_moved"] = s.bytes_moved;
+    const storage::DiskPoolStats& pool = site.pool().stats();
+    expected[p + "storage.pool.hits"] = pool.hits;
+    expected[p + "storage.pool.misses"] = pool.misses;
+    expected[p + "storage.pool.evictions"] = pool.evictions;
+    expected[p + "storage.pool.bytes_evicted"] = pool.bytes_evicted;
+  }
+  const flow::FlowEngineStats& flows = grid.flow_engine()->stats();
+  expected["grid.flow.renegotiations"] = flows.renegotiations;
+  expected["grid.flow.links_recomputed"] = flows.links_recomputed;
+  expected["grid.flow.classes_recomputed"] = flows.classes_recomputed;
+  expected["grid.flow.completed"] = flows.flows_completed;
+  expected["test.link.bytes_sent"] = link.stats().bytes_sent;
+  expected["test.link.bytes_delivered"] = link.stats().bytes_delivered;
+  expected["test.link.packets_dropped"] = link.stats().packets_dropped;
+
+  // Every registry counter is either one of the above, bound to its field,
+  // or one of the owned counters no stats field holds.
+  const auto owned = [](const std::string& name) {
+    return name.find(".net.tcp.") != std::string::npos ||
+           name.find(".transfer.") != std::string::npos ||
+           name.starts_with("grid.uplink.");
+  };
+  std::size_t checked = 0;
+  const auto check = [&](const std::string& name, obs::MetricKind kind,
+                         const obs::Counter* counter, const obs::Gauge*,
+                         const obs::Histogram*) {
+    if (kind != obs::MetricKind::kCounter) return;
+    const auto it = expected.find(name);
+    if (it == expected.end()) {
+      EXPECT_TRUE(owned(name)) << "unexpected counter " << name;
+      return;
+    }
+    ++checked;
+    EXPECT_NE(counter->source(), nullptr) << name << " is not bound";
+    EXPECT_EQ(counter->value(), it->second) << name;
+  };
+  grid.metrics().visit(check);
+  for (std::size_t i = 0; i < grid.site_count(); ++i) {
+    grid.site(i).metrics().visit(check);
+  }
+  EXPECT_EQ(checked, expected.size());
 }
 
 }  // namespace

@@ -229,8 +229,8 @@ TEST(Hrm, ScriptStagerSlowerThanHrm) {
   mss.archive(info, [](Status) {});
   f.simulator.run();
 
-  HrmBackend hrm(f.simulator, mss);
-  ScriptStagerBackend script(f.simulator, mss);
+  StorageBackend hrm(f.simulator, mss, kHrmPlugin);
+  StorageBackend script(f.simulator, mss, kScriptStagerPlugin);
   SimTime hrm_done = 0, script_done = 0;
   const SimTime t0 = f.simulator.now();
   hrm.stage_to_disk("/f", pool, [&](Result<FileInfo>) {

@@ -59,7 +59,7 @@ TEST(Teardown, HrmBackendFailsParkedStageAndArchiveOnce) {
   rig.archive_now("/pool/a", 4 * kMiB);
   CountingCallback stage, archive;
   {
-    storage::HrmBackend hrm(rig.simulator, *rig.mss);
+    storage::StorageBackend hrm(rig.simulator, *rig.mss, storage::kHrmPlugin);
     hrm.stage_to_disk("/pool/a", rig.pool,
                       stage.wrap<Result<storage::FileInfo>>());
     hrm.archive_file(rig.file("/pool/b", 1 * kMiB), archive.wrap<Status>());
@@ -81,7 +81,8 @@ TEST(Teardown, ScriptStagerFailsParkedStageAndArchiveOnce) {
   rig.archive_now("/pool/a", 4 * kMiB);
   CountingCallback stage, archive;
   {
-    storage::ScriptStagerBackend stager(rig.simulator, *rig.mss);
+    storage::StorageBackend stager(rig.simulator, *rig.mss,
+                                   storage::kScriptStagerPlugin);
     stager.stage_to_disk("/pool/a", rig.pool,
                          stage.wrap<Result<storage::FileInfo>>());
     stager.archive_file(rig.file("/pool/b", 1 * kMiB),
@@ -99,7 +100,7 @@ TEST(Teardown, ScriptStagerFailsParkedStageAndArchiveOnce) {
 TEST(Teardown, HrmBackendSuccessAndErrorPathsFireOnce) {
   StorageRig rig;
   rig.archive_now("/pool/a", 4 * kMiB);
-  storage::HrmBackend hrm(rig.simulator, *rig.mss);
+  storage::StorageBackend hrm(rig.simulator, *rig.mss, storage::kHrmPlugin);
   CountingCallback hit, miss;
   hrm.stage_to_disk("/pool/a", rig.pool,
                     hit.wrap<Result<storage::FileInfo>>());

@@ -212,6 +212,10 @@ TEST(SiteAssembly, StorageBackendSelection) {
   ASSERT_TRUE(grid.start().is_ok());
   ASSERT_NE(grid.site(0).mss(), nullptr);
   ASSERT_NE(grid.site(1).mss(), nullptr);
+  EXPECT_STREQ(grid.site(0).gdmp_server().site().storage_backend->name(),
+               "hrm");
+  EXPECT_STREQ(grid.site(1).gdmp_server().site().storage_backend->name(),
+               "script");
 }
 
 }  // namespace
