@@ -17,8 +17,13 @@ namespace gdmp::core {
 
 /// Picks a source replica (an index into the candidate URLs) for
 /// GdmpServer::replicate. Cost-function based selection is the paper's
-/// stated future work [VTF01]; the hook makes it pluggable.
-using SelectorFn = std::function<std::size_t(const std::vector<Uri>&)>;
+/// stated future work [VTF01]; the hook makes it pluggable. A chooser may
+/// refuse the request by returning an error (e.g. every candidate's site
+/// is at its concurrency cap): replicate() then completes with that status
+/// without counting a replication failure, and the caller decides what to
+/// do next.
+using SelectorFn =
+    std::function<Result<std::size_t>(const std::vector<Uri>&)>;
 
 /// Always the first catalog entry (GDMP 2.0 behaviour).
 SelectorFn first_replica_selector();

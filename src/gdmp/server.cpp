@@ -302,28 +302,22 @@ void GdmpServer::replicate(const LogicalFileName& lfn,
                           "no remote replica of " + lfn));
           return;
         }
-        std::size_t index;
-        if (options.choose_source) {
-          auto chosen = options.choose_source(candidates);
-          if (!chosen.is_ok()) {
-            // Admission refusal (e.g. all sources at capacity) — not a
-            // replication failure; the caller retries on its own terms.
-            done(chosen.status());
-            return;
-          }
-          index = sanitize_selected_index(*chosen, candidates.size());
-        } else {
-          index = sanitize_selected_index(selector_(candidates),
-                                          candidates.size());
+        auto chosen = options.choose_source ? options.choose_source(candidates)
+                                            : selector_(candidates);
+        if (!chosen.is_ok()) {
+          // Admission refusal (e.g. all sources at capacity) — not a
+          // replication failure; the caller retries on its own terms.
+          done(chosen.status());
+          return;
         }
-        const Uri source = candidates[index];
+        const Uri source =
+            candidates[sanitize_selected_index(*chosen, candidates.size())];
         auto source_node = resolver_(source.host);
         if (!source_node.is_ok()) {
           count_replication_failure();
           done(source_node.status());
           return;
         }
-        if (options.on_source) options.on_source(source.host);
 
         PublishedFile file;
         file.lfn = lfn;
@@ -465,9 +459,6 @@ void GdmpServer::set_metrics(const obs::MetricsScope& scope) {
   scope.counter("files_replicated", stats_.files_replicated);
   scope.counter("replication_failures", stats_.replication_failures);
   scope.counter("stage_requests_served", stats_.stage_requests_served);
-  scope.counter("replications_retried", stats_.replications_retried);
-  scope.counter("replications_dead_lettered",
-                stats_.replications_dead_lettered);
   rpc_.set_metrics(scope.scope("rpc"));
   catalog_client_.set_metrics(scope.scope("catalog_cache"));
 }

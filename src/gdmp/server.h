@@ -49,10 +49,7 @@ struct GdmpServerStats {
   std::int64_t files_replicated = 0;
   std::int64_t replication_failures = 0;
   std::int64_t stage_requests_served = 0;
-  // Replication-scheduler pipeline (fed by sched::ReplicationScheduler, so
-  // one stats() read covers the whole consumer path).
-  std::int64_t replications_retried = 0;
-  std::int64_t replications_dead_lettered = 0;
+  /// Notified files handed to the replication scheduler's queue.
   std::int64_t notifications_queued = 0;
 };
 
@@ -66,20 +63,12 @@ class GdmpServer {
   using ReplicateDone =
       std::function<void(Result<gridftp::TransferResult>)>;
 
-  /// Per-request source choice. Unlike SelectorFn it may *refuse* the
-  /// request (e.g. every candidate's site is at its concurrency cap) by
-  /// returning an error; the request then fails with that status without
-  /// counting as a replication failure, and the caller decides what to do.
-  using SourceChooser =
-      std::function<Result<std::size_t>(const std::vector<Uri>&)>;
-
   /// Per-request overrides for replicate().
   struct ReplicateOptions {
-    /// Overrides the installed selector for this request only.
-    SourceChooser choose_source;
-    /// Invoked once a source replica has been chosen and resolved, before
-    /// any staging or transfer work starts.
-    std::function<void(const std::string& source_host)> on_source;
+    /// Replaces the installed selector for this request only. It runs once
+    /// per replicate() call, after the catalog lookup; a refusal ends the
+    /// request with that status (see SelectorFn).
+    SelectorFn choose_source;
     /// Parent for the "gdmp.replicate" span; invalid = ambient current.
     obs::SpanId parent_span{};
   };
@@ -167,15 +156,6 @@ class GdmpServer {
   /// counter that reads the field itself; the "rpc" child scope instruments
   /// the request-manager RPC server.
   void set_metrics(const obs::MetricsScope& scope);
-
-  // Scheduler feedback, recorded here so the server's stats block covers
-  // the whole replication pipeline.
-  void note_replication_retried() noexcept {
-    ++stats_.replications_retried;
-  }
-  void note_replication_dead_lettered() noexcept {
-    ++stats_.replications_dead_lettered;
-  }
 
   /// Site-local pool path of a logical file.
   std::string local_path_for(const LogicalFileName& lfn) const {

@@ -4,6 +4,7 @@
 
 namespace gdmp::gridftp {
 
+// gdmp-lint: hot-path — parser callbacks: runs once per delivered data segment
 void BlockStreamParser::feed_data(std::span<const std::uint8_t> data) {
   while (!data.empty()) {
     if (state_ != State::kHeader) {
@@ -46,6 +47,7 @@ void BlockStreamParser::feed_data(std::span<const std::uint8_t> data) {
   }
 }
 
+// gdmp-lint: hot-path — parser callbacks: runs once per delivered payload run
 void BlockStreamParser::feed_synthetic(Bytes n) {
   while (n > 0) {
     if (state_ != State::kPayload) {
@@ -72,6 +74,7 @@ void BlockStreamParser::fail(const std::string& message) {
   }
 }
 
+// gdmp-lint: hot-path — records every payload run and every FlowDone stripe
 void RangeSet::add(Bytes offset, Bytes length) {
   if (length <= 0) return;
   ByteRange incoming{offset, length};

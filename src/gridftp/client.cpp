@@ -110,6 +110,7 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   /// Fluid progress: earlier attempts' payload plus this attempt's stripes.
   /// Recomputed (not +=): the monitor may already have pulled a partial
   /// count for a stripe into payload_bytes.
+  // gdmp-lint: hot-path — FlowDone callbacks: runs once per finished stripe flow
   void recount_fluid_payload() {
     Bytes current = 0;
     for (const Bytes b : stream_bytes) current += b;
@@ -741,23 +742,13 @@ void FtpClient::send_stor(const std::shared_ptr<Transfer>& transfer) {
   for (std::size_t i = 0; i < transfer->streams.size(); ++i) {
     auto& conn = transfer->streams[i];
     if (i < parts.size()) {
-      BlockHeader header;
-      header.offset = parts[i].offset;
-      header.length = parts[i].length;
-      header.content_seed = transfer->source_seed;
-      wire::Writer w;
-      header.encode(w);
-      conn->send(w.take());
-      conn->send_synthetic(parts[i].length);
+      send_block(*conn, BlockHeader{parts[i].offset, parts[i].length,
+                                    transfer->source_seed});
       transfer->payload_bytes += parts[i].length;
       transfer->stream_bytes[i] += parts[i].length;
       transfer->pool->disk().read(parts[i].length, [] {});
     }
-    BlockHeader eod;
-    eod.offset = -1;
-    wire::Writer w;
-    eod.encode(w);
-    conn->send(w.take());
+    send_block(*conn, BlockHeader{.offset = -1});  // end of data
   }
 }
 

@@ -1,5 +1,7 @@
 #include "gridftp/protocol.h"
 
+#include "net/tcp.h"
+
 namespace gdmp::gridftp {
 
 void DataHello::encode(wire::Writer& w) const {
@@ -22,6 +24,14 @@ void BlockHeader::encode(wire::Writer& w) const {
   w.i64(offset);
   w.i64(length);
   w.u64(content_seed);
+}
+
+// gdmp-lint: hot-path — block sends: every RETR and STOR block goes through here
+void send_block(net::TcpConnection& conn, const BlockHeader& header) {
+  wire::Writer w;
+  header.encode(w);
+  conn.send(w.take());
+  conn.send_synthetic(header.length);
 }
 
 std::optional<BlockHeader> BlockHeader::decode(

@@ -20,6 +20,10 @@
 #include "common/types.h"
 #include "common/wire.h"
 
+namespace gdmp::net {
+class TcpConnection;
+}  // namespace gdmp::net
+
 namespace gdmp::gridftp {
 
 /// Default GridFTP control port (as in the real deployment).
@@ -69,6 +73,10 @@ struct BlockHeader {
   static std::optional<BlockHeader> decode(
       std::span<const std::uint8_t> data);
 };
+
+/// Writes one block on a data stream: the header as real bytes, then its
+/// payload as a synthetic run (none for an end-of-data marker).
+void send_block(net::TcpConnection& conn, const BlockHeader& header);
 
 /// Splits `range` into at most `parts` contiguous subranges of near-equal
 /// size (the pre-partitioned parallel-stream layout; see DESIGN.md).

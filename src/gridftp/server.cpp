@@ -428,25 +428,15 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
     auto& stream = session->streams[i];
     Bytes stream_bytes = 0;
     for (const ByteRange& range : per_stream[i]) {
-      BlockHeader header;
-      header.offset = range.offset;
-      header.length = range.length;
-      header.content_seed = served_seed(session->retr.seed);
-      wire::Writer w;
-      header.encode(w);
-      stream->conn->send(w.take());
-      stream->conn->send_synthetic(range.length);
+      send_block(*stream->conn,
+                 BlockHeader{range.offset, range.length,
+                             served_seed(session->retr.seed)});
       stream_bytes += range.length;
       stats_.bytes_sent += range.length;
     }
     // Server-side perf marker: bytes queued for this stripe.
     emit_perf(session->retr.path, stream_bytes, i, session->streams.size());
-    // End-of-data marker.
-    BlockHeader eod;
-    eod.offset = -1;
-    wire::Writer w;
-    eod.encode(w);
-    stream->conn->send(w.take());
+    send_block(*stream->conn, BlockHeader{.offset = -1});  // end of data
 
     if (stream_bytes > 0) {
       pool_.disk().read(stream_bytes, [] {});  // read-ahead, pipelined

@@ -44,16 +44,11 @@ void TcpConnection::send(std::vector<std::uint8_t> data) {
   if (data.empty()) return;
   assert(!fin_queued_ && "send() after close()");
   if (state_ == State::kClosed) return;
-  Chunk chunk;
-  chunk.length = static_cast<Bytes>(data.size());
-  chunk.real =
+  const auto length = static_cast<Bytes>(data.size());
+  auto real =
       // gdmp-lint: hot-alloc — payload bytes are shared, not copied, across retransmits
       std::make_shared<const std::vector<std::uint8_t>>(std::move(data));
-  // gdmp-lint: hot-alloc — send queue is node-based, one node per app write
-  chunks_.emplace(stream_length_, std::move(chunk));
-  stream_length_ += chunk.length;
-  stats_.bytes_queued += chunk.length;
-  try_send();
+  append_chunk({std::move(real), length});
 }
 
 void TcpConnection::send_synthetic(Bytes n) {
@@ -71,9 +66,15 @@ void TcpConnection::send_synthetic(Bytes n) {
       return;
     }
   }
-  chunks_.emplace(stream_length_, Chunk{nullptr, n});
-  stream_length_ += n;
-  stats_.bytes_queued += n;
+  append_chunk({nullptr, n});
+}
+
+void TcpConnection::append_chunk(Chunk chunk) {
+  const Bytes length = chunk.length;
+  // gdmp-lint: hot-alloc — send queue is node-based, one node per app write
+  chunks_.emplace(stream_length_, std::move(chunk));
+  stream_length_ += length;
+  stats_.bytes_queued += length;
   try_send();
 }
 

@@ -120,6 +120,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
     std::shared_ptr<const std::vector<std::uint8_t>> real;  // null = synthetic
     Bytes length = 0;
   };
+  /// Appends one application write to the send queue and sends.
+  void append_chunk(Chunk chunk);
 
   TcpConnection(TcpStack& stack, TcpConfig config, NodeId remote_node,
                 Port remote_port, Port local_port, bool is_client);

@@ -37,7 +37,6 @@ RpcServer::~RpcServer() {
 }
 
 void RpcServer::register_method(std::string name, Handler handler) {
-  // gdmp-lint: hot-alloc — method table is populated once at server setup
   methods_[std::move(name)] = std::move(handler);
 }
 

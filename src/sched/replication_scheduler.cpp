@@ -120,6 +120,7 @@ std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
   ready_.insert(ReadyKey{request.priority, request.seq, id});
   requests_.emplace(id, std::move(request));
   ++stats_.submitted;
+  rewind_ = true;  // may rank ahead of a walk in progress (submit from done)
   pump();
   update_gauges();
   return id;
@@ -177,7 +178,6 @@ bool ReplicationScheduler::cancel(std::uint64_t id) {
   const auto it = requests_.find(id);
   if (it == requests_.end() || it->second.in_flight) return false;
   ready_.erase(ReadyKey{it->second.priority, it->second.seq, id});
-  std::erase(deferred_, id);
   end_request_span(it->second, "cancelled");
   Done done = std::move(it->second.done);
   const LogicalFileName lfn = it->second.lfn;
@@ -190,24 +190,42 @@ bool ReplicationScheduler::cancel(std::uint64_t id) {
   return true;
 }
 
+bool ReplicationScheduler::blocked(const Request& request) const {
+  for (const std::string& host : request.blocked_on) {
+    if (in_flight_to(host) < config_.max_per_source) return false;
+  }
+  return !request.blocked_on.empty();
+}
+
 void ReplicationScheduler::pump() {
   if (pumping_) return;
   pumping_ = true;
-  while (active_ < config_.max_concurrent && !ready_.empty()) {
-    const ReadyKey key = *ready_.begin();
-    ready_.erase(ready_.begin());
-    const auto it = requests_.find(key.id);
-    if (it == requests_.end()) continue;
-    dispatch(it->second);
+  auto it = ready_.begin();
+  while (active_ < config_.max_concurrent && it != ready_.end()) {
+    const ReadyKey key = *it;
+    const auto request = requests_.find(key.id);
+    if (request == requests_.end()) {
+      it = ready_.erase(it);
+      continue;
+    }
+    if (blocked(request->second)) {
+      ++it;
+      continue;
+    }
+    ready_.erase(it);
+    rewind_ = false;
+    dispatch(request->second);
+    // dispatch() can settle synchronously and its callback can submit() or
+    // cancel(), so resume by key, not by iterator. Start over when a submit
+    // or a freed source slot may have readied a request behind this one.
+    it = rewind_ ? ready_.begin() : ready_.upper_bound(key);
   }
   pumping_ = false;
 }
 
 void ReplicationScheduler::dispatch(Request& request) {
   request.in_flight = true;
-  request.busy_bounced = false;
-  request.source.clear();
-  ++request.attempts;
+  request.blocked_on.clear();
   ++active_;
   stats_.peak_active = std::max(stats_.peak_active, active_);
   end_queue_wait(request);
@@ -222,26 +240,26 @@ void ReplicationScheduler::dispatch(Request& request) {
       [this, alive, id](const std::vector<Uri>& candidates)
       -> Result<std::size_t> {
     if (alive.expired()) return std::size_t{0};
-    // Best-ranked source whose site is under its in-flight cap.
+    Request& request = requests_.at(id);  // in flight: not cancellable
+    // Best-ranked source whose site is under its in-flight cap; book it.
     for (const std::size_t index : selector_.rank(candidates)) {
-      if (in_flight_to(candidates[index].host) < config_.max_per_source) {
+      const std::string& host = candidates[index].host;
+      if (in_flight_to(host) < config_.max_per_source) {
+        request.source = host;
+        // gdmp-lint: hot-alloc — per-source counter created on first dispatch to a host
+        ++per_source_[host];
+        if (!selector_.measured(host)) selector_.note_probe(host);
         return index;
       }
     }
-    const auto it = requests_.find(id);
-    if (it != requests_.end()) it->second.busy_bounced = true;
+    // Every source is at its cap: remember which, so pump() passes this
+    // request over until one of them frees a slot.
+    for (const Uri& candidate : candidates) {
+      request.blocked_on.push_back(candidate.host);
+    }
     ++stats_.busy_deferrals;
     return make_error(ErrorCode::kResourceExhausted,
                       "every source site at its in-flight cap");
-  };
-  options.on_source = [this, alive, id](const std::string& host) {
-    if (alive.expired()) return;
-    const auto it = requests_.find(id);
-    if (it == requests_.end()) return;
-    it->second.source = host;
-    // gdmp-lint: hot-alloc — per-source counter created on first dispatch to a host
-    ++per_source_[host];
-    if (!selector_.measured(host)) selector_.note_probe(host);
   };
   options.parent_span = request.span;
 
@@ -267,18 +285,21 @@ void ReplicationScheduler::on_attempt_done(
     const auto ps = per_source_.find(source);
     if (ps != per_source_.end() && --ps->second <= 0) per_source_.erase(ps);
     request.source.clear();
+    rewind_ = true;
   }
 
-  if (request.busy_bounced) {
-    // Not a failure and not an attempt: park until a slot frees up.
-    request.busy_bounced = false;
-    --request.attempts;
+  if (!request.blocked_on.empty()) {
+    // Not a failure and not an attempt: back into the ready queue under
+    // its old key, passed over until a recorded source frees a slot.
     begin_queue_wait(request);
-    deferred_.push_back(id);
+    // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per bounced request
+    ready_.insert(ReadyKey{request.priority, request.seq, id});
     pump();
     update_gauges();
     return;
   }
+
+  ++request.attempts;
 
   if (result.is_ok() || result.code() == ErrorCode::kAlreadyExists) {
     if (result.is_ok()) {
@@ -301,13 +322,11 @@ void ReplicationScheduler::on_attempt_done(
                                        request.attempts,
                                        simulator().now()});
     ++stats_.dead_lettered;
-    server_.note_replication_dead_lettered();
     settle(it, std::move(result));
     return;
   }
 
   schedule_retry(request, result.status());
-  release_deferred();
   pump();
   update_gauges();
 }
@@ -320,7 +339,6 @@ void ReplicationScheduler::settle(
   end_request_span(it->second, settled_ok ? "completed" : "dead_lettered");
   Done done = std::move(it->second.done);
   requests_.erase(it);
-  release_deferred();
   if (done) done(std::move(result));
   pump();
   update_gauges();
@@ -329,7 +347,6 @@ void ReplicationScheduler::settle(
 void ReplicationScheduler::schedule_retry(Request& request,
                                           const Status& cause) {
   ++stats_.retries;
-  server_.note_replication_retried();
   const SimDuration delay = backoff_after(request.attempts);
   GDMP_DEBUG("sched", "retrying ", request.lfn, " in ", to_seconds(delay),
              "s after: ", cause.to_string());
@@ -345,18 +362,6 @@ void ReplicationScheduler::schedule_retry(Request& request,
     pump();
     update_gauges();
   });
-}
-
-void ReplicationScheduler::release_deferred() {
-  if (deferred_.empty()) return;
-  for (const std::uint64_t id : deferred_) {
-    const auto it = requests_.find(id);
-    if (it == requests_.end()) continue;
-    begin_queue_wait(it->second);
-    // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per released request
-    ready_.insert(ReadyKey{it->second.priority, it->second.seq, id});
-  }
-  deferred_.clear();
 }
 
 SimDuration ReplicationScheduler::backoff_after(int failures) {

@@ -10,7 +10,8 @@
 //     cap, so one producer's uplink is never oversubscribed,
 //   * cost-aware source selection from EWMA bandwidth history [VTF01]
 //     (see sched/cost_selector.h), with saturated sources skipped in rank
-//     order and the request deferred when every source is at its cap,
+//     order; a request whose every source is at its cap stays in the
+//     ready queue, passed over until one of those sources frees a slot,
 //   * exponential backoff with jitter on failure, and a dead-letter list
 //     (surfaced through stats) once max_attempts is exhausted.
 //
@@ -113,7 +114,7 @@ class ReplicationScheduler {
     return dead_letters_;
   }
 
-  /// Requests waiting for a slot (ready + deferred + awaiting backoff).
+  /// Requests not in flight: ready (bounced ones included) or backing off.
   std::size_t queue_depth() const noexcept {
     return requests_.size() - static_cast<std::size_t>(active_);
   }
@@ -130,10 +131,12 @@ class ReplicationScheduler {
     LogicalFileName lfn;
     int priority = 0;
     std::uint64_t seq = 0;
-    int attempts = 0;
+    int attempts = 0;  // finished attempts; a bounce is none
     bool in_flight = false;
-    bool busy_bounced = false;  // set by the chooser when all sources at cap
-    std::string source;         // current attempt's source host
+    std::string source;  // current attempt's source host
+    /// Candidate hosts, all at their cap, when this attempt bounced;
+    /// empty otherwise.
+    std::vector<std::string> blocked_on;
     Done done;
     obs::SpanId span;        // "sched.request": submit -> settle
     obs::SpanId queue_span;  // "sched.queue_wait": open while queued
@@ -156,6 +159,8 @@ class ReplicationScheduler {
   void enqueue_batch(const std::vector<LogicalFileName>& lfns, int priority,
                      BatchDone done);
 
+  /// True while every host the request last bounced off is at its cap.
+  bool blocked(const Request& request) const;
   void pump();
   void begin_queue_wait(Request& request);
   void end_queue_wait(Request& request);
@@ -167,7 +172,6 @@ class ReplicationScheduler {
   void settle(std::map<std::uint64_t, Request>::iterator it,
               Result<gridftp::TransferResult> result);
   void schedule_retry(Request& request, const Status& cause);
-  void release_deferred();
   SimDuration backoff_after(int failures);
 
   core::GdmpServer& server_;
@@ -177,7 +181,6 @@ class ReplicationScheduler {
 
   std::map<std::uint64_t, Request> requests_;
   std::set<ReadyKey> ready_;
-  std::vector<std::uint64_t> deferred_;  // bounced off per-source caps
   std::map<std::string, int> per_source_;
   std::vector<DeadLetter> dead_letters_;
   SchedulerStats stats_;
@@ -188,6 +191,7 @@ class ReplicationScheduler {
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 1;
   bool pumping_ = false;
+  bool rewind_ = false;  // pump() restarts its walk from the front
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

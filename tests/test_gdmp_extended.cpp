@@ -47,7 +47,11 @@ TEST(GdmpAssociations, ProducerAnnotatesOverlappingTiers) {
 }
 
 TEST(GdmpAssociations, GetWithAssociationsPreservesNavigation) {
-  Grid grid(fast_two_site(4000));
+  // Association navigation (§2.1), not TCP, is under test: move the
+  // payload on the fluid model.
+  GridConfig config = fast_two_site(4000);
+  config.transfer_model = flow::TransferModel::kFluid;
+  Grid grid(config);
   ASSERT_TRUE(grid.start().is_ok());
   auto files = testbed::produce_all_tiers(grid.site(0), 0, 1000, "runN");
   grid.site(0).gdmp().publish(files, [](Status s) {

@@ -294,6 +294,22 @@ TEST(LintHotPath, ReportListsRootsEdgesAndJustifications) {
   EXPECT_NE(dot.find("helper_alloc"), std::string::npos);
 }
 
+TEST(LintHotPath, MoveInACaptureOrMemberInitIsNotADefinition) {
+  // `[r = std::move(r)](...) {` and `: cb_(std::move(cb)) {` must not read
+  // as definitions of a function `move`: every std::move call in a hot
+  // function would link to those bodies and report their allocations.
+  HotPathReport report;
+  const auto findings = run_lint(
+      {(kFixtureDir / "hotpath" / "move_capture" / "capture.cpp").string()},
+      hotpath_options(), nullptr, &report);
+  for (const Finding& f : findings) {
+    ADD_FAILURE() << "unexpected finding: " << format_finding(f);
+  }
+  std::vector<std::string> hot;
+  for (const auto& f : report.functions) hot.push_back(f.name);
+  EXPECT_EQ(hot, std::vector<std::string>{"relay"});
+}
+
 // ---------------------------------------------------- obligation pass
 //
 // The obligation/ subtree is a miniature async service: one callback alias

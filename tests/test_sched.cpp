@@ -76,12 +76,17 @@ TEST(CostAwareSelector, SelectorFnProbesEachHostOnce) {
   CostAwareSelector selector(0.3);
   auto fn = selector.selector_fn();
   const auto candidates = hosts({"a", "b"});
-  const std::size_t first = fn(candidates);
-  const std::size_t second = fn(candidates);
+  const std::size_t first = *fn(candidates);
+  const std::size_t second = *fn(candidates);
   // Two greedy picks with no results yet probe the two distinct hosts.
   EXPECT_NE(first, second);
   // With both probes pending, picks stay in range.
-  EXPECT_LT(fn(candidates), 2u);
+  EXPECT_LT(*fn(candidates), 2u);
+}
+
+TEST(ReplicaSelection, FirstAlwaysPicksZero) {
+  auto selector = core::first_replica_selector();
+  EXPECT_EQ(*selector(hosts({"a", "b", "c"})), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,32 +253,42 @@ struct SchedTwoSiteFixture {
 };
 
 TEST(ReplicationScheduler, PriorityOrdersDispatch) {
-  GridConfig config = two_site_config();
-  config.sites[1].site.sched.max_concurrent = 1;
-  config.sites[1].site.sched.max_per_source = 1;
-  SchedTwoSiteFixture f(config);
-  const auto lfns = f.seed(4);
+  // One slot, so requests wait in the queue; then three slots on a source
+  // capped at one, so lfns[1..3] bounce off the cap and the order is
+  // decided among parked requests.
+  for (const int concurrent : {1, 3}) {
+    SCOPED_TRACE("max_concurrent=" + std::to_string(concurrent));
+    GridConfig config = two_site_config();
+    config.sites[1].site.sched.max_concurrent = concurrent;
+    config.sites[1].site.sched.max_per_source = 1;
+    SchedTwoSiteFixture f(config);
+    const auto lfns = f.seed(4);
 
-  std::vector<std::string> completion_order;
-  const auto track = [&](const LogicalFileName& lfn) {
-    return [&completion_order, lfn](Result<gridftp::TransferResult> result) {
-      EXPECT_TRUE(result.is_ok()) << result.status().to_string();
-      completion_order.push_back(lfn);
+    std::vector<std::string> completion_order;
+    const auto track = [&](const LogicalFileName& lfn) {
+      return [&completion_order, lfn](Result<gridftp::TransferResult> result) {
+        EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+        completion_order.push_back(lfn);
+      };
     };
-  };
-  // lfns[0] dispatches immediately; the rest queue behind it. The late
-  // high-priority submission must jump the FIFO tail.
-  f.consumer().scheduler().submit(lfns[0], 0, track(lfns[0]));
-  f.consumer().scheduler().submit(lfns[1], 0, track(lfns[1]));
-  f.consumer().scheduler().submit(lfns[2], 0, track(lfns[2]));
-  f.consumer().scheduler().submit(lfns[3], 5, track(lfns[3]));
+    // lfns[0] dispatches immediately; the rest queue behind it. The late
+    // high-priority submission must jump the FIFO tail.
+    f.consumer().scheduler().submit(lfns[0], 0, track(lfns[0]));
+    f.consumer().scheduler().submit(lfns[1], 0, track(lfns[1]));
+    f.consumer().scheduler().submit(lfns[2], 0, track(lfns[2]));
+    f.consumer().scheduler().submit(lfns[3], 5, track(lfns[3]));
 
-  f.run_while(1200 * kSecond, [&] { return completion_order.size() == 4; });
-  ASSERT_EQ(completion_order.size(), 4u);
-  EXPECT_EQ(completion_order[0], lfns[0]);
-  EXPECT_EQ(completion_order[1], lfns[3]);
-  EXPECT_EQ(completion_order[2], lfns[1]);
-  EXPECT_EQ(completion_order[3], lfns[2]);
+    f.run_while(1200 * kSecond,
+                [&] { return completion_order.size() == 4; });
+    ASSERT_EQ(completion_order.size(), 4u);
+    EXPECT_EQ(completion_order[0], lfns[0]);
+    EXPECT_EQ(completion_order[1], lfns[3]);
+    EXPECT_EQ(completion_order[2], lfns[1]);
+    EXPECT_EQ(completion_order[3], lfns[2]);
+    if (concurrent > 1) {
+      EXPECT_GE(f.consumer().scheduler().stats().busy_deferrals, 3);
+    }
+  }
 }
 
 TEST(ReplicationScheduler, BusyBounceCountsInStatsAndRegistry) {
@@ -302,6 +317,66 @@ TEST(ReplicationScheduler, BusyBounceCountsInStatsAndRegistry) {
             bounced);
 }
 
+TEST(ReplicationScheduler, ParkedRequestsWaitForAFreeSourceWithoutHerding) {
+  // One source capped at one transfer and four slots: every file but the
+  // one in flight bounces and parks. A parked request is dispatched again
+  // only when the source frees its slot, so it bounces about once; waking
+  // every parked request on every settle bounces about N^2/2 times.
+  GridConfig config = two_site_config();
+  config.transfer_model = flow::TransferModel::kFluid;
+  config.sites[1].site.sched.max_concurrent = 4;
+  config.sites[1].site.sched.max_per_source = 1;
+  SchedTwoSiteFixture f(config);
+  constexpr int kFiles = 12;
+  const auto lfns = f.seed(kFiles);
+
+  bool done = false;
+  f.consumer().scheduler().submit_batch(lfns, 0, [&](Status status, Bytes) {
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    done = true;
+  });
+  f.run_while(3600 * kSecond, [&] { return done; });
+  ASSERT_TRUE(done);
+  const SchedulerStats& stats = f.consumer().scheduler().stats();
+  EXPECT_EQ(stats.completed, kFiles);
+  EXPECT_GT(stats.busy_deferrals, 0);
+  EXPECT_LE(stats.busy_deferrals, kFiles);
+  EXPECT_EQ(stats.retries, 0);
+  EXPECT_TRUE(f.consumer().scheduler().idle());
+}
+
+TEST(ReplicationScheduler, SubmitFromASynchronousCompletionIsDispatched) {
+  // A replica already on site settles inside pump()'s walk; its callback
+  // submits a request that ranks ahead of the one just dispatched. The
+  // walk must still find it: nothing else is in flight to pump again.
+  SchedTwoSiteFixture f;
+  const auto lfns = f.seed(2);
+  ASSERT_TRUE(f.consumer()
+                  .pool()
+                  .add_file(f.consumer().gdmp_server().local_path_for(lfns[0]),
+                            2 * kMiB, 0xF00Du, f.grid.simulator().now())
+                  .is_ok());
+
+  auto& scheduler = f.consumer().scheduler();
+  Status present = Status::ok();
+  Result<gridftp::TransferResult> followup =
+      make_error(ErrorCode::kInternal, "pending");
+  bool followup_done = false;
+  scheduler.submit(lfns[0], 0, [&](Result<gridftp::TransferResult> r) {
+    present = r.status();
+    scheduler.submit(lfns[1], 5, [&](Result<gridftp::TransferResult> r2) {
+      followup = std::move(r2);
+      followup_done = true;
+    });
+  });
+  EXPECT_EQ(present.code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(scheduler.active(), 1);
+  f.run_while(1200 * kSecond, [&] { return followup_done; });
+  ASSERT_TRUE(followup_done);
+  EXPECT_TRUE(followup.is_ok()) << followup.status().to_string();
+  EXPECT_TRUE(scheduler.idle());
+}
+
 TEST(ReplicationScheduler, RetriesWithBackoffThenSucceeds) {
   GridConfig config = two_site_config();
   // Every block corrupted at the producer; the FTP client itself gets no
@@ -325,13 +400,13 @@ TEST(ReplicationScheduler, RetriesWithBackoffThenSucceeds) {
                                   });
   // Heal the link as soon as the first retry has been scheduled.
   f.run_while(600 * kSecond, [&] {
-    if (f.consumer().gdmp_server().stats().replications_retried >= 1) {
+    if (f.consumer().scheduler().stats().retries >= 1) {
       f.producer().ftp_server().set_corrupt_probability(0.0);
       return true;
     }
     return false;
   });
-  ASSERT_GE(f.consumer().gdmp_server().stats().replications_retried, 1);
+  ASSERT_GE(f.consumer().scheduler().stats().retries, 1);
   f.run_while(600 * kSecond, [&] { return done; });
 
   ASSERT_TRUE(done);
@@ -377,10 +452,7 @@ TEST(ReplicationScheduler, DeadLettersAfterMaxAttempts) {
   EXPECT_EQ(scheduler.stats().retries, 2);
   EXPECT_TRUE(scheduler.idle());
 
-  const auto& server_stats = f.consumer().gdmp_server().stats();
-  EXPECT_EQ(server_stats.replications_dead_lettered, 1);
-  EXPECT_EQ(server_stats.replications_retried, 2);
-  EXPECT_EQ(server_stats.files_replicated, 0);
+  EXPECT_EQ(f.consumer().gdmp_server().stats().files_replicated, 0);
 }
 
 TEST(ReplicationScheduler, NotificationsEnqueueThroughScheduler) {
@@ -418,39 +490,55 @@ TEST(ReplicationScheduler, NotificationsEnqueueThroughScheduler) {
 }
 
 TEST(ReplicationScheduler, CancelPendingFiresAbortedAndSkipsTransfer) {
-  GridConfig config = two_site_config();
-  config.sites[1].site.sched.max_concurrent = 1;
-  SchedTwoSiteFixture f(config);
-  const auto lfns = f.seed(3);
+  // lfns[2] waits in the queue behind one slot, or (three slots on a
+  // source capped at one) parks after bouncing off the cap.
+  for (const bool parked : {false, true}) {
+    SCOPED_TRACE(parked ? "parked" : "queued");
+    GridConfig config = two_site_config();
+    config.sites[1].site.sched.max_concurrent = parked ? 3 : 1;
+    config.sites[1].site.sched.max_per_source = 1;
+    SchedTwoSiteFixture f(config);
+    const auto lfns = f.seed(3);
 
-  int completed = 0;
-  Status cancelled_status = Status::ok();
-  auto& scheduler = f.consumer().scheduler();
-  const auto id0 = scheduler.submit(
-      lfns[0], 0, [&](Result<gridftp::TransferResult> r) {
-        EXPECT_TRUE(r.is_ok());
-        ++completed;
-      });
-  scheduler.submit(lfns[1], 0, [&](Result<gridftp::TransferResult> r) {
-    EXPECT_TRUE(r.is_ok());
-    ++completed;
-  });
-  const auto id2 = scheduler.submit(
-      lfns[2], 0,
-      [&](Result<gridftp::TransferResult> r) { cancelled_status = r.status(); });
+    int completed = 0;
+    int cancelled_calls = 0;
+    Status cancelled_status = Status::ok();
+    auto& scheduler = f.consumer().scheduler();
+    const auto id0 = scheduler.submit(
+        lfns[0], 0, [&](Result<gridftp::TransferResult> r) {
+          EXPECT_TRUE(r.is_ok());
+          ++completed;
+        });
+    scheduler.submit(lfns[1], 0, [&](Result<gridftp::TransferResult> r) {
+      EXPECT_TRUE(r.is_ok());
+      ++completed;
+    });
+    const auto id2 = scheduler.submit(
+        lfns[2], 0, [&](Result<gridftp::TransferResult> r) {
+          cancelled_status = r.status();
+          ++cancelled_calls;
+        });
+    if (parked) {
+      f.run_while(60 * kSecond,
+                  [&] { return scheduler.stats().busy_deferrals >= 2; });
+      ASSERT_EQ(scheduler.stats().busy_deferrals, 2);
+      ASSERT_EQ(scheduler.active(), 1);
+    }
 
-  // lfns[0] is already in flight: not cancellable. lfns[2] still queues.
-  EXPECT_FALSE(scheduler.cancel(id0));
-  EXPECT_TRUE(scheduler.cancel(id2));
-  EXPECT_EQ(cancelled_status.code(), ErrorCode::kAborted);
-  EXPECT_FALSE(scheduler.cancel(id2));  // already gone
+    // lfns[0] is already in flight: not cancellable. lfns[2] still waits.
+    EXPECT_FALSE(scheduler.cancel(id0));
+    EXPECT_TRUE(scheduler.cancel(id2));
+    EXPECT_EQ(cancelled_status.code(), ErrorCode::kAborted);
+    EXPECT_FALSE(scheduler.cancel(id2));  // already gone
 
-  f.run_while(1200 * kSecond, [&] { return completed == 2; });
-  EXPECT_EQ(completed, 2);
-  EXPECT_EQ(scheduler.stats().cancelled, 1);
-  EXPECT_TRUE(scheduler.idle());
-  EXPECT_FALSE(f.consumer().pool().contains(
-      f.consumer().gdmp_server().local_path_for(lfns[2])));
+    f.run_while(1200 * kSecond, [&] { return completed == 2; });
+    EXPECT_EQ(completed, 2);
+    EXPECT_EQ(cancelled_calls, 1);
+    EXPECT_EQ(scheduler.stats().cancelled, 1);
+    EXPECT_TRUE(scheduler.idle());
+    EXPECT_FALSE(f.consumer().pool().contains(
+        f.consumer().gdmp_server().local_path_for(lfns[2])));
+  }
 }
 
 // Regression: a selector returning an out-of-range index must be clamped
@@ -595,9 +683,6 @@ TEST(MetricsInvariant, EverySubsystemCounterEqualsItsStatsField) {
     expected[p + "gdmp.files_replicated"] = gdmp.files_replicated;
     expected[p + "gdmp.replication_failures"] = gdmp.replication_failures;
     expected[p + "gdmp.stage_requests_served"] = gdmp.stage_requests_served;
-    expected[p + "gdmp.replications_retried"] = gdmp.replications_retried;
-    expected[p + "gdmp.replications_dead_lettered"] =
-        gdmp.replications_dead_lettered;
     rpc(p + "gdmp.rpc.", site.gdmp_server().rpc());
     const auto cache = [&](const std::string& prefix, const auto& stats) {
       expected[prefix + "hits"] = stats.hits;

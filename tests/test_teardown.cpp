@@ -466,55 +466,64 @@ TEST(Teardown, StorageManagerDestroyedFailsCoalescedWaitersOnce) {
 }
 
 TEST(Teardown, SchedulerDestroyedFailsQueuedAndInFlightOnce) {
-  testbed::GridConfig config = testbed::two_site_config();
-  config.sites[1].site.sched.max_concurrent = 1;
-  auto grid = std::make_unique<testbed::Grid>(config);
-  ASSERT_TRUE(grid->start().is_ok());
+  // The waiting requests sit in the queue behind one slot, or (three slots
+  // on a source capped at one) park after bouncing off the cap.
+  for (const bool parked : {false, true}) {
+    SCOPED_TRACE(parked ? "parked" : "queued");
+    testbed::GridConfig config = testbed::two_site_config();
+    config.sites[1].site.sched.max_concurrent = parked ? 3 : 1;
+    config.sites[1].site.sched.max_per_source = 1;
+    auto grid = std::make_unique<testbed::Grid>(config);
+    ASSERT_TRUE(grid->start().is_ok());
 
-  // Publish three replicas the consumer can schedule.
-  std::vector<LogicalFileName> lfns;
-  std::vector<core::PublishedFile> files;
-  for (int i = 0; i < 3; ++i) {
-    const LogicalFileName lfn = "lfn://cms/teardown/" + std::to_string(i);
-    (void)grid->site(0).pool().add_file(
-        grid->site(0).gdmp_server().local_path_for(lfn), 32 * kMiB, 0xF00D,
-        0);
-    core::PublishedFile file;
-    file.lfn = lfn;
-    files.push_back(file);
-    lfns.push_back(lfn);
-  }
-  bool published = false;
-  grid->site(0).gdmp().publish(files, [&](Status s) {
-    ASSERT_TRUE(s.is_ok());
-    published = true;
-  });
-  grid->run_until(grid->simulator().now() + 120 * kSecond);
-  ASSERT_TRUE(published);
+    // Publish three replicas the consumer can schedule.
+    std::vector<LogicalFileName> lfns;
+    std::vector<core::PublishedFile> files;
+    for (int i = 0; i < 3; ++i) {
+      const LogicalFileName lfn = "lfn://cms/teardown/" + std::to_string(i);
+      (void)grid->site(0).pool().add_file(
+          grid->site(0).gdmp_server().local_path_for(lfn), 32 * kMiB, 0xF00D,
+          0);
+      core::PublishedFile file;
+      file.lfn = lfn;
+      files.push_back(file);
+      lfns.push_back(lfn);
+    }
+    bool published = false;
+    grid->site(0).gdmp().publish(files, [&](Status s) {
+      ASSERT_TRUE(s.is_ok());
+      published = true;
+    });
+    grid->run_until(grid->simulator().now() + 120 * kSecond);
+    ASSERT_TRUE(published);
 
-  auto& scheduler = grid->site(1).scheduler();
-  std::vector<CountingCallback> dones(3);
-  std::vector<std::uint64_t> ids;
-  for (std::size_t i = 0; i < lfns.size(); ++i) {
-    ids.push_back(scheduler.submit(
-        lfns[i], 0, dones[i].wrap<Result<gridftp::TransferResult>>()));
-  }
-  grid->run_until(grid->simulator().now() + 1 * kSecond);
+    auto& scheduler = grid->site(1).scheduler();
+    std::vector<CountingCallback> dones(3);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < lfns.size(); ++i) {
+      ids.push_back(scheduler.submit(
+          lfns[i], 0, dones[i].wrap<Result<gridftp::TransferResult>>()));
+    }
+    grid->run_until(grid->simulator().now() + 1 * kSecond);
+    EXPECT_EQ(scheduler.active(), 1);
+    EXPECT_EQ(scheduler.stats().busy_deferrals, parked ? 2 : 0);
 
-  // Cancel one queued request (exactly-once via the cancel path)...
-  EXPECT_TRUE(scheduler.cancel(ids[2]));
-  EXPECT_TRUE(dones[2].exactly_once());
-  EXPECT_EQ(dones[2].last_code(), ErrorCode::kAborted);
-  EXPECT_FALSE(scheduler.cancel(ids[2]));
-  EXPECT_TRUE(dones[2].exactly_once());
+    // Cancel one waiting request (exactly-once via the cancel path)...
+    EXPECT_TRUE(scheduler.cancel(ids[2]));
+    EXPECT_TRUE(dones[2].exactly_once());
+    EXPECT_EQ(dones[2].last_code(), ErrorCode::kAborted);
+    EXPECT_FALSE(scheduler.cancel(ids[2]));
+    EXPECT_TRUE(dones[2].exactly_once());
 
-  // ...then tear the grid down with one transfer in flight and one queued.
-  EXPECT_EQ(dones[0].count(), 0);
-  EXPECT_EQ(dones[1].count(), 0);
-  grid.reset();
-  for (const CountingCallback& done : dones) {
-    EXPECT_TRUE(done.exactly_once());
-    EXPECT_EQ(done.last_code(), ErrorCode::kAborted);
+    // ...then tear the grid down with one transfer in flight and one
+    // waiting.
+    EXPECT_EQ(dones[0].count(), 0);
+    EXPECT_EQ(dones[1].count(), 0);
+    grid.reset();
+    for (const CountingCallback& done : dones) {
+      EXPECT_TRUE(done.exactly_once());
+      EXPECT_EQ(done.last_code(), ErrorCode::kAborted);
+    }
   }
 }
 

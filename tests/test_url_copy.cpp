@@ -1,9 +1,8 @@
 // Tests for the globus_url_copy front end: URL resolution, remote copies,
-// striped multi-source retrieval, and replica selection strategies.
+// and striped multi-source retrieval.
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
-#include "gdmp/replica_selection.h"
 #include "gridftp/server.h"
 #include "gridftp/url_copy.h"
 #include "net/topology.h"
@@ -202,22 +201,3 @@ TEST(UrlCopy, StripedGetFasterThanSingleSourceWhenSourceLimited) {
 
 }  // namespace
 }  // namespace gdmp::gridftp
-
-namespace gdmp::core {
-namespace {
-
-std::vector<Uri> candidates(std::initializer_list<const char*> hosts) {
-  std::vector<Uri> out;
-  for (const char* host : hosts) {
-    out.push_back(make_gsiftp_uri(host, "/pool/f"));
-  }
-  return out;
-}
-
-TEST(ReplicaSelection, FirstAlwaysPicksZero) {
-  auto selector = first_replica_selector();
-  EXPECT_EQ(selector(candidates({"a", "b", "c"})), 0u);
-}
-
-}  // namespace
-}  // namespace gdmp::core

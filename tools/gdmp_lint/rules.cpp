@@ -338,9 +338,16 @@ std::vector<Function> find_functions(const std::vector<Token>& tokens) {
     // Scan past cv/ref/noexcept/override/trailing-return and member-init
     // lists to the body '{'; a ';' or '=' at paren depth 0 means this was a
     // declaration, a call statement or an initializer, not a definition.
+    // Leaving the enclosing bracket (a ')' or ']' at depth 0) means it was
+    // a call inside an argument list or a lambda capture, e.g.
+    // `[r = std::move(r)](...) {` or `: cb_(std::move(cb)) {`.
     int paren_depth = 0;
     for (std::size_t k = params_close + 1;
          k < tokens.size() && k < params_close + 400; ++k) {
+      if (paren_depth == 0 &&
+          (punct_is(tokens[k], ")") || punct_is(tokens[k], "]"))) {
+        break;
+      }
       if (punct_is(tokens[k], "(")) ++paren_depth;
       if (punct_is(tokens[k], ")")) --paren_depth;
       if (paren_depth > 0) continue;
