@@ -73,25 +73,19 @@ CatalogServer::CatalogServer(net::TcpStack& stack,
       rpc_(stack, config.port, ca, std::move(credential)),
       config_(config),
       catalog_("gdmp", config.shards) {
-  const auto bind = [this](auto method) {
-    return [this, method](const security::GsiContext&, std::uint64_t,
-                          std::span<const std::uint8_t> params,
-                          rpc::RpcServer::Respond respond) {
-      ++operations_;
-      (this->*method)(params, std::move(respond));
-    };
+  using Server = CatalogServer;
+  const std::pair<const char*, rpc::RpcServer::Method<Server>> methods[] = {
+      {"rc.publish", &Server::handle_publish},
+      {"rc.publish_batch", &Server::handle_publish_batch},
+      {"rc.add_replica", &Server::handle_add_replica},
+      {"rc.remove_replica", &Server::handle_remove_replica},
+      {"rc.lookup_batch", &Server::handle_lookup_batch},
+      {"rc.list", &Server::handle_list},
+      {"rc.search", &Server::handle_search},
   };
-  rpc_.register_method("rc.publish", bind(&CatalogServer::handle_publish));
-  rpc_.register_method("rc.publish_batch",
-                       bind(&CatalogServer::handle_publish_batch));
-  rpc_.register_method("rc.add_replica",
-                       bind(&CatalogServer::handle_add_replica));
-  rpc_.register_method("rc.remove_replica",
-                       bind(&CatalogServer::handle_remove_replica));
-  rpc_.register_method("rc.lookup_batch",
-                       bind(&CatalogServer::handle_lookup_batch));
-  rpc_.register_method("rc.list", bind(&CatalogServer::handle_list));
-  rpc_.register_method("rc.search", bind(&CatalogServer::handle_search));
+  for (const auto& [name, method] : methods) {
+    rpc_.register_method(name, *this, alive_, method);
+  }
 }
 
 Status CatalogServer::start() { return rpc_.start(); }
@@ -126,8 +120,9 @@ Status CatalogServer::publish_one(const std::string& collection,
   return catalog_.add_replica(collection, location_name, file.lfn);
 }
 
-void CatalogServer::handle_publish(std::span<const std::uint8_t> params,
-                                   Respond respond) {
+void CatalogServer::handle_publish(
+    const security::GsiContext&, std::uint64_t,
+    std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::string collection = r.str();
   const PublishedFile file = decode_published_file(r);
@@ -138,14 +133,18 @@ void CatalogServer::handle_publish(std::span<const std::uint8_t> params,
             {});
     return;
   }
-  with_latency(1, [this, collection, file, location_name, url_prefix,
+  with_latency(1, [this, alive = std::weak_ptr<bool>(alive_), collection,
+                   file, location_name, url_prefix,
                    respond = std::move(respond)] {
+    // gdmp-lint: dropped-ok — server gone; the client's call fails on close
+    if (alive.expired()) return;
     respond(publish_one(collection, file, location_name, url_prefix), {});
   });
 }
 
-void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
-                                         Respond respond) {
+void CatalogServer::handle_publish_batch(
+    const security::GsiContext&, std::uint64_t,
+    std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   std::string collection = r.str();
   std::string location_name = r.str();
@@ -163,10 +162,13 @@ void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
     return;
   }
   with_latency(files.size(),
-               [this, collection = std::move(collection),
+               [this, alive = std::weak_ptr<bool>(alive_),
+                collection = std::move(collection),
                 location_name = std::move(location_name),
                 url_prefix = std::move(url_prefix), files = std::move(files),
                 respond = std::move(respond)] {
+                 // gdmp-lint: dropped-ok — server gone; the client's call fails on close
+                 if (alive.expired()) return;
                  wire::Writer w;
                  w.u32(static_cast<std::uint32_t>(files.size()));
                  for (const PublishedFile& file : files) {
@@ -182,8 +184,9 @@ void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
                });
 }
 
-void CatalogServer::handle_add_replica(std::span<const std::uint8_t> params,
-                                       Respond respond) {
+void CatalogServer::handle_add_replica(
+    const security::GsiContext&, std::uint64_t,
+    std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::string collection = r.str();
   const std::string lfn = r.str();
@@ -194,8 +197,11 @@ void CatalogServer::handle_add_replica(std::span<const std::uint8_t> params,
             {});
     return;
   }
-  with_latency(1, [this, collection, lfn, location_name, url_prefix,
+  with_latency(1, [this, alive = std::weak_ptr<bool>(alive_), collection,
+                   lfn, location_name, url_prefix,
                    respond = std::move(respond)] {
+    // gdmp-lint: dropped-ok — server gone; the client's call fails on close
+    if (alive.expired()) return;
     if (auto locations = catalog_.list_locations(collection);
         !locations.is_ok() ||
         std::find(locations->begin(), locations->end(), location_name) ==
@@ -207,6 +213,7 @@ void CatalogServer::handle_add_replica(std::span<const std::uint8_t> params,
 }
 
 void CatalogServer::handle_remove_replica(
+    const security::GsiContext&, std::uint64_t,
     std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::string collection = r.str();
@@ -218,14 +225,17 @@ void CatalogServer::handle_remove_replica(
         {});
     return;
   }
-  with_latency(1, [this, collection, lfn, location_name,
-                   respond = std::move(respond)] {
+  with_latency(1, [this, alive = std::weak_ptr<bool>(alive_), collection,
+                   lfn, location_name, respond = std::move(respond)] {
+    // gdmp-lint: dropped-ok — server gone; the client's call fails on close
+    if (alive.expired()) return;
     respond(catalog_.remove_replica(collection, location_name, lfn), {});
   });
 }
 
-void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
-                                        Respond respond) {
+void CatalogServer::handle_lookup_batch(
+    const security::GsiContext&, std::uint64_t,
+    std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::string collection = r.str();
   const std::uint32_t n = r.u32();
@@ -287,8 +297,9 @@ void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
   });
 }
 
-void CatalogServer::handle_list(std::span<const std::uint8_t> params,
-                                Respond respond) {
+void CatalogServer::handle_list(
+    const security::GsiContext&, std::uint64_t,
+    std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::string collection = r.str();
   if (!r.ok()) {
@@ -310,8 +321,9 @@ void CatalogServer::handle_list(std::span<const std::uint8_t> params,
                });
 }
 
-void CatalogServer::handle_search(std::span<const std::uint8_t> params,
-                                  Respond respond) {
+void CatalogServer::handle_search(
+    const security::GsiContext&, std::uint64_t,
+    std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::string collection = r.str();
   const std::string filter_text = r.str();
@@ -331,8 +343,11 @@ void CatalogServer::handle_search(std::span<const std::uint8_t> params,
   }
   with_latency(
       matches->size(),
-      [this, collection, matches = std::move(matches.value()),
+      [this, alive = std::weak_ptr<bool>(alive_), collection,
+       matches = std::move(matches.value()),
        respond = std::move(respond)]() mutable {
+        // gdmp-lint: dropped-ok — server gone; the client's call fails on close
+        if (alive.expired()) return;
         wire::Writer w;
         w.u32(static_cast<std::uint32_t>(matches.size()));
         for (const auto& [lfn, attrs] : matches) {

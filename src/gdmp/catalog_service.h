@@ -46,14 +46,18 @@ class CatalogServer {
   void stop();
 
   catalog::ShardedCatalog& catalog() noexcept { return catalog_; }
-  std::int64_t operations_served() const noexcept { return operations_; }
+  /// Catalog operations dispatched: the RPC server's own request count.
+  std::int64_t operations_served() const noexcept {
+    return rpc_.requests_served();
+  }
 
  private:
   using Respond = rpc::RpcServer::Respond;
 
   /// Schedules `fn` after the op latency + per-result cost. The callback
   /// is an InlineFunction end to end — no std::function re-erasure between
-  /// here and the event kernel.
+  /// here and the event kernel. Callbacks that touch the server capture
+  /// alive_ and drop the reply once it has expired.
   void with_latency(std::size_t results, sim::Simulator::Callback fn);
 
   /// Registers one logical file + first replica, auto-creating the
@@ -62,23 +66,31 @@ class CatalogServer {
                      const std::string& location_name,
                      const std::string& url_prefix);
 
-  void handle_publish(std::span<const std::uint8_t> params, Respond respond);
-  void handle_publish_batch(std::span<const std::uint8_t> params,
+  // RPC handlers, all with the RpcServer::Handler argument list.
+  void handle_publish(const security::GsiContext&, std::uint64_t,
+                      std::span<const std::uint8_t> params, Respond respond);
+  void handle_publish_batch(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             Respond respond);
-  void handle_add_replica(std::span<const std::uint8_t> params,
+  void handle_add_replica(const security::GsiContext&, std::uint64_t,
+                          std::span<const std::uint8_t> params,
                           Respond respond);
-  void handle_remove_replica(std::span<const std::uint8_t> params,
+  void handle_remove_replica(const security::GsiContext&, std::uint64_t,
+                             std::span<const std::uint8_t> params,
                              Respond respond);
-  void handle_lookup_batch(std::span<const std::uint8_t> params,
+  void handle_lookup_batch(const security::GsiContext&, std::uint64_t,
+                           std::span<const std::uint8_t> params,
                            Respond respond);
-  void handle_list(std::span<const std::uint8_t> params, Respond respond);
-  void handle_search(std::span<const std::uint8_t> params, Respond respond);
+  void handle_list(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params, Respond respond);
+  void handle_search(const security::GsiContext&, std::uint64_t,
+                     std::span<const std::uint8_t> params, Respond respond);
 
   net::TcpStack& stack_;
   rpc::RpcServer rpc_;
   CatalogServerConfig config_;
   catalog::ShardedCatalog catalog_;
-  std::int64_t operations_ = 0;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 /// A replica of a logical file, as returned by lookup/search.
@@ -86,16 +98,6 @@ struct ReplicaInfo {
   LogicalFileName lfn;
   catalog::LogicalFileAttributes attributes;
   std::vector<PhysicalFileName> locations;
-};
-
-struct CatalogClientConfig {
-  /// Lookup/search results younger than this are served from the local
-  /// cache without an RPC; older entries are revalidated by version stamp.
-  /// Zero disables caching (every call is a round trip, as in the paper).
-  SimDuration cache_ttl = 0;
-  std::size_t cache_capacity = 65536;
-  /// Max files per batched request frame; larger batches are split.
-  std::size_t max_batch = 256;
 };
 
 class CatalogClient {

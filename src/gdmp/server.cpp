@@ -12,86 +12,27 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
       resolver_(std::move(resolver)),
       rpc_(site.stack, config.server_port, site.ca, site.credential),
       catalog_client_(site.stack, config.catalog_host, config.catalog_port,
-                      site.ca, site.credential,
-                      {config.catalog_cache_ttl, config.catalog_cache_capacity,
-                       config.catalog_publish_batch}),
+                      site.ca, site.credential, config.catalog),
       data_mover_(site, config.transfer, config.max_concurrent_transfers),
       storage_manager_(site),
       selector_(first_replica_selector()),
       rng_(0x6d6d ^ std::hash<std::string>{}(site.site_name)) {
-  // Handlers live in the RpcServer's method table; guard them so a handler
-  // dispatched during teardown cannot touch a dead GdmpServer.
-  std::weak_ptr<bool> alive = alive_;
-  rpc_.register_method(
-      kMethodSubscribe,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_subscribe(peer, p, std::move(r));
-      });
-  rpc_.register_method(
-      kMethodUnsubscribe,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_unsubscribe(peer, p, std::move(r));
-      });
-  rpc_.register_method(
-      kMethodNotify,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_notify(peer, p, std::move(r));
-      });
-  rpc_.register_method(
-      kMethodGetCatalog,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t>, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_get_catalog(peer, std::move(r));
-      });
-  rpc_.register_method(
-      kMethodStage,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_stage(peer, p, std::move(r));
-      });
-  rpc_.register_method(
-      "gdmp.release",
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_release(p, std::move(r));
-      });
-  rpc_.register_method(
-      kMethodDeleteFile,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_delete(peer, p, std::move(r));
-      });
+  // Handlers live in the RpcServer's method table; the RpcServer guards
+  // them so a handler dispatched during teardown cannot touch a dead
+  // GdmpServer.
+  using Server = GdmpServer;
+  const std::pair<const char*, rpc::RpcServer::Method<Server>> methods[] = {
+      {kMethodSubscribe, &Server::handle_subscribe},
+      {kMethodUnsubscribe, &Server::handle_unsubscribe},
+      {kMethodNotify, &Server::handle_notify},
+      {kMethodGetCatalog, &Server::handle_get_catalog},
+      {kMethodStage, &Server::handle_stage},
+      {kMethodRelease, &Server::handle_release},
+      {kMethodDeleteFile, &Server::handle_delete},
+  };
+  for (const auto& [name, method] : methods) {
+    rpc_.register_method(name, *this, alive_, method);
+  }
 }
 
 GdmpServer::~GdmpServer() {
@@ -161,7 +102,7 @@ void GdmpServer::publish(std::vector<PublishedFile> files, PublishDone done) {
     file.modify_time = info->modify_time;
   }
 
-  // One rc.publish_batch round trip per 'catalog_publish_batch' files
+  // One rc.publish_batch round trip per 'catalog.max_batch' files
   // instead of one rc.publish per file (DESIGN.md §5j).
   auto shared = std::make_shared<std::vector<PublishedFile>>(std::move(files));
   std::weak_ptr<bool> alive = alive_;
@@ -391,7 +332,7 @@ void GdmpServer::finish_replication(const LogicalFileName& lfn,
   wire::Writer w;
   w.str(source.path);
   peer(source_node, config_.server_port)
-      .call("gdmp.release", w.take(),
+      .call(kMethodRelease, w.take(),
             [](Status, std::vector<std::uint8_t>) {});
 
   if (!transfer.is_ok()) {
@@ -488,6 +429,7 @@ void GdmpServer::fetch_remote_catalog(
 // --------------------------------------------------------------- handlers
 
 void GdmpServer::handle_subscribe(const security::GsiContext& peer_ctx,
+                                  std::uint64_t,
                                   std::span<const std::uint8_t> params,
                                   Respond respond) {
   if (Status auth = authorize(security::Operation::kSubscribe, peer_ctx);
@@ -511,6 +453,7 @@ void GdmpServer::handle_subscribe(const security::GsiContext& peer_ctx,
 }
 
 void GdmpServer::handle_unsubscribe(const security::GsiContext& peer_ctx,
+                                    std::uint64_t,
                                     std::span<const std::uint8_t> params,
                                     Respond respond) {
   if (Status auth = authorize(security::Operation::kSubscribe, peer_ctx);
@@ -526,6 +469,7 @@ void GdmpServer::handle_unsubscribe(const security::GsiContext& peer_ctx,
 }
 
 void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
+                               std::uint64_t,
                                std::span<const std::uint8_t> params,
                                Respond respond) {
   if (Status auth = authorize(security::Operation::kPublish, peer_ctx);
@@ -570,6 +514,8 @@ void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
 }
 
 void GdmpServer::handle_get_catalog(const security::GsiContext& peer_ctx,
+                                    std::uint64_t,
+                                    std::span<const std::uint8_t>,
                                     Respond respond) {
   if (Status auth = authorize(security::Operation::kGetCatalog, peer_ctx);
       !auth.is_ok()) {
@@ -585,6 +531,7 @@ void GdmpServer::handle_get_catalog(const security::GsiContext& peer_ctx,
 }
 
 void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
+                              std::uint64_t,
                               std::span<const std::uint8_t> params,
                               Respond respond) {
   if (Status auth = authorize(security::Operation::kStageRequest, peer_ctx);
@@ -605,7 +552,8 @@ void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
       });
 }
 
-void GdmpServer::handle_release(std::span<const std::uint8_t> params,
+void GdmpServer::handle_release(const security::GsiContext&, std::uint64_t,
+                                std::span<const std::uint8_t> params,
                                 Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();
@@ -614,6 +562,7 @@ void GdmpServer::handle_release(std::span<const std::uint8_t> params,
 }
 
 void GdmpServer::handle_delete(const security::GsiContext& peer_ctx,
+                               std::uint64_t,
                                std::span<const std::uint8_t> params,
                                Respond respond) {
   if (Status auth = authorize(security::Operation::kTransferFile, peer_ctx);

@@ -175,19 +175,21 @@ class GdmpServer {
   Status authorize(security::Operation op,
                    const security::GsiContext& peer) const;
 
-  void handle_subscribe(const security::GsiContext& peer,
-                        std::span<const std::uint8_t> params,
-                        Respond respond);
-  void handle_unsubscribe(const security::GsiContext& peer,
+  // RPC handlers, all with the RpcServer::Handler argument list.
+  void handle_subscribe(const security::GsiContext& peer, std::uint64_t,
+                        std::span<const std::uint8_t> params, Respond respond);
+  void handle_unsubscribe(const security::GsiContext& peer, std::uint64_t,
                           std::span<const std::uint8_t> params,
                           Respond respond);
-  void handle_notify(const security::GsiContext& peer,
+  void handle_notify(const security::GsiContext& peer, std::uint64_t,
                      std::span<const std::uint8_t> params, Respond respond);
-  void handle_get_catalog(const security::GsiContext& peer, Respond respond);
-  void handle_stage(const security::GsiContext& peer,
+  void handle_get_catalog(const security::GsiContext& peer, std::uint64_t,
+                          std::span<const std::uint8_t>, Respond respond);
+  void handle_stage(const security::GsiContext& peer, std::uint64_t,
                     std::span<const std::uint8_t> params, Respond respond);
-  void handle_release(std::span<const std::uint8_t> params, Respond respond);
-  void handle_delete(const security::GsiContext& peer,
+  void handle_release(const security::GsiContext&, std::uint64_t,
+                      std::span<const std::uint8_t> params, Respond respond);
+  void handle_delete(const security::GsiContext& peer, std::uint64_t,
                      std::span<const std::uint8_t> params, Respond respond);
 
   void notify_subscribers(const std::vector<PublishedFile>& files);

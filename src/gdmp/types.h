@@ -29,6 +29,16 @@ struct PublishedFile {
 void encode_published_file(wire::Writer& w, const PublishedFile& file);
 PublishedFile decode_published_file(wire::Reader& r);
 
+struct CatalogClientConfig {
+  /// Lookup/search results younger than this are served from the local
+  /// cache without an RPC; older entries are revalidated by version stamp.
+  /// Zero disables caching (every call is a round trip, as in the paper).
+  SimDuration cache_ttl = 0;
+  std::size_t cache_capacity = 65536;
+  /// Max files per batched request frame; larger batches are split.
+  std::size_t max_batch = 256;
+};
+
 /// GDMP site configuration.
 struct GdmpConfig {
   net::Port server_port = 2000;
@@ -37,11 +47,8 @@ struct GdmpConfig {
   std::string collection = "cms";
   net::NodeId catalog_host = net::kInvalidNode;
   net::Port catalog_port = 2010;
-  /// Catalog client cache TTL (0 disables) and capacity; see DESIGN.md §5j.
-  SimDuration catalog_cache_ttl = 120 * kSecond;
-  std::size_t catalog_cache_capacity = 65536;
-  /// Files per rc.publish_batch / rc.lookup_batch frame.
-  std::size_t catalog_publish_batch = 256;
+  /// Catalog client cache and batching; see DESIGN.md §5j.
+  CatalogClientConfig catalog{.cache_ttl = 120 * kSecond};
   /// Consumers: start replication as soon as a notification arrives.
   bool auto_replicate_on_notify = false;
   /// Producers: archive published files to the MSS automatically.
@@ -57,6 +64,7 @@ inline constexpr const char* kMethodUnsubscribe = "gdmp.unsubscribe";
 inline constexpr const char* kMethodNotify = "gdmp.notify";
 inline constexpr const char* kMethodGetCatalog = "gdmp.get_catalog";
 inline constexpr const char* kMethodStage = "gdmp.stage";
+inline constexpr const char* kMethodRelease = "gdmp.release";
 inline constexpr const char* kMethodPackObjects = "gdmp.pack_objects";
 inline constexpr const char* kMethodDeleteFile = "gdmp.delete_file";
 

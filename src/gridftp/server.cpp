@@ -144,9 +144,9 @@ FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
   // The embedded RpcServer is a member, so these handlers cannot normally
   // outlive `this` — but ~FtpServer tears down data sessions before rpc_ is
   // destroyed, and handlers can fire from frames already queued in the
-  // simulator during that window. Guard them all with the liveness sentinel.
-  std::weak_ptr<bool> alive = alive_;
-  const std::pair<const char*, Handler> methods[] = {
+  // simulator during that window. The RpcServer guards them all with the
+  // liveness sentinel.
+  const std::pair<const char*, rpc::RpcServer::Method<FtpServer>> methods[] = {
       {kCmdSetBuffer, &FtpServer::handle_sbuf},
       {kCmdPassive, &FtpServer::handle_pasv},
       {kCmdRetrieve, &FtpServer::handle_retr},
@@ -158,18 +158,8 @@ FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
       {kCmdFluidGet, &FtpServer::handle_fget},
       {kCmdFluidPut, &FtpServer::handle_fput},
   };
-  for (const auto& [method, handler] : methods) {
-    rpc_.register_method(
-        method, [this, alive, handler = handler](
-                    const security::GsiContext&, std::uint64_t sid,
-                    std::span<const std::uint8_t> p,
-                    rpc::RpcServer::Respond r) {
-          if (alive.expired()) {
-            r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-            return;
-          }
-          (this->*handler)(sid, p, std::move(r));
-        });
+  for (const auto& [name, method] : methods) {
+    rpc_.register_method(name, *this, alive_, method);
   }
 }
 
@@ -187,7 +177,8 @@ Status FtpServer::start() { return rpc_.start(); }
 
 void FtpServer::stop() { rpc_.stop(); }
 
-void FtpServer::handle_sbuf(std::uint64_t session_id,
+void FtpServer::handle_sbuf(const security::GsiContext&,
+                            std::uint64_t session_id,
                             std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
@@ -202,7 +193,8 @@ void FtpServer::handle_sbuf(std::uint64_t session_id,
   respond(Status::ok(), {});
 }
 
-void FtpServer::handle_pasv(std::uint64_t session_id,
+void FtpServer::handle_pasv(const security::GsiContext&,
+                            std::uint64_t session_id,
                             std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
@@ -368,7 +360,8 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
   check_stor_complete(session);
 }
 
-void FtpServer::handle_retr(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_retr(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::uint64_t token = r.u64();
@@ -466,7 +459,8 @@ void FtpServer::finish_retr_stream(
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_stor(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_stor(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::uint64_t token = r.u64();
@@ -526,7 +520,8 @@ void FtpServer::check_stor_complete(
               std::move(respond));
 }
 
-void FtpServer::handle_size(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_size(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();
@@ -540,7 +535,8 @@ void FtpServer::handle_size(std::uint64_t, std::span<const std::uint8_t> params,
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_cksm(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_cksm(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();
@@ -554,14 +550,16 @@ void FtpServer::handle_cksm(std::uint64_t, std::span<const std::uint8_t> params,
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_dele(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_dele(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();
   respond(pool_.remove(path), {});
 }
 
-void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_xfer(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();
@@ -596,7 +594,8 @@ void FtpServer::handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
               });
 }
 
-void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_fget(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();
@@ -639,7 +638,8 @@ void FtpServer::handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
   respond(Status::ok(), w.take());
 }
 
-void FtpServer::handle_fput(std::uint64_t, std::span<const std::uint8_t> params,
+void FtpServer::handle_fput(const security::GsiContext&, std::uint64_t,
+                            std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   wire::Reader r(params);
   const std::string path = r.str();

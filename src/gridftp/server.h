@@ -98,31 +98,37 @@ class FtpServer {
     Bytes data_buffer;
   };
 
-  /// Every control-channel command handler: (session id, params, reply).
-  using Handler = void (FtpServer::*)(std::uint64_t,
-                                      std::span<const std::uint8_t>,
-                                      rpc::RpcServer::Respond);
-  void handle_sbuf(std::uint64_t session_id,
+  // Control-channel command handlers, all with the RpcServer::Handler
+  // argument list.
+  void handle_sbuf(const security::GsiContext&, std::uint64_t session_id,
                    std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_pasv(std::uint64_t session_id,
+  void handle_pasv(const security::GsiContext&, std::uint64_t session_id,
                    std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_retr(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_retr(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_stor(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_stor(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_size(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_size(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_cksm(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_cksm(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_dele(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_dele(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_xfer(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_xfer(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_fget(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_fget(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
-  void handle_fput(std::uint64_t, std::span<const std::uint8_t> params,
+  void handle_fput(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
 
   /// The content seed a served RETR block or FGET stripe carries: with

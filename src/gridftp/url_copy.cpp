@@ -132,13 +132,15 @@ void UrlCopy::striped_get(const std::vector<std::string>& source_urls,
         for (std::size_t i = 0; i < stripes.size(); ++i) {
           TransferOptions stripe_options = job->options;
           stripe_options.range = stripes[i];
-          stripe_options.expected_crc.reset();  // range CRCs differ
+          // Range CRCs differ; the whole file is checked once assembled.
+          stripe_options.expected_crc.reset();
           const Endpoint& endpoint = job->endpoints[i];
           client_.get(
               endpoint.node, endpoint.port, endpoint.path,
               job->local_path + ".stripe" + std::to_string(i),
               /*pool=*/nullptr, stripe_options,
-              [job](Result<TransferResult> result) {
+              [job, simulator = &network_.simulator()](
+                  Result<TransferResult> result) {
                 if (!result.is_ok()) {
                   if (job->first_error.is_ok()) {
                     job->first_error = result.status();
@@ -185,10 +187,17 @@ void UrlCopy::striped_get(const std::vector<std::string>& source_urls,
                 assembled.source_seed = job->seed;
                 assembled.crc =
                     crc32_synthetic(job->seed, 0, job->file_size);
+                if (job->options.expected_crc &&
+                    assembled.crc != *job->options.expected_crc) {
+                  job->done(make_error(
+                      ErrorCode::kCorrupted,
+                      "replica does not match catalog checksum"));
+                  return;
+                }
                 if (job->pool != nullptr) {
                   auto added = job->pool->add_file(job->local_path,
                                                    job->file_size, job->seed,
-                                                   /*now=*/0);
+                                                   simulator->now());
                   if (!added.is_ok()) {
                     job->done(added.status());
                     return;

@@ -5,14 +5,6 @@
 
 namespace gdmp::objrep {
 
-namespace {
-constexpr const char* kMethodGetIndex = "objrep.get_index";
-constexpr const char* kMethodPack = "objrep.pack";
-constexpr const char* kMethodChunk = "objrep.chunk";
-constexpr const char* kMethodPackDone = "objrep.pack_done";
-constexpr const char* kMethodChunkAck = "objrep.chunk_ack";
-}  // namespace
-
 /// Source-side packing job.
 struct ObjectReplicationService::PackJob {
   std::uint64_t request_id = 0;
@@ -50,71 +42,29 @@ struct ObjectReplicationService::Request {
 ObjectReplicationService::ObjectReplicationService(
     core::GdmpServer& server, ObjectReplicationConfig config)
     : server_(server), config_(config) {
-  auto& rpc = server_.rpc();
   // The GdmpServer (and its RpcServer) outlives this service in several
-  // benches; weak-guard every handler so a late dispatch is a no-op rather
-  // than a use-after-free.
-  std::weak_ptr<bool> alive = alive_;
-  rpc.register_method(
-      kMethodGetIndex,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t>, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_get_index(std::move(r));
-      });
-  rpc.register_method(
-      kMethodPack, [this, alive](const security::GsiContext&, std::uint64_t,
-                                 std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_pack(p, std::move(r));
-      });
-  rpc.register_method(
-      kMethodChunk, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_chunk(p, std::move(r));
-      });
-  rpc.register_method(
-      kMethodPackDone,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_pack_done(p, std::move(r));
-      });
-  rpc.register_method(
-      kMethodChunkAck,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_chunk_ack(p, std::move(r));
-      });
+  // benches; the RpcServer guards every handler with alive_ so a late
+  // dispatch is answered kUnavailable rather than a use-after-free.
+  using Service = ObjectReplicationService;
+  const std::pair<const char*, rpc::RpcServer::Method<Service>> methods[] = {
+      {kMethodGetIndex, &Service::handle_get_index},
+      {kMethodPack, &Service::handle_pack},
+      {kMethodChunk, &Service::handle_chunk},
+      {kMethodPackDone, &Service::handle_pack_done},
+      {kMethodChunkAck, &Service::handle_chunk_ack},
+  };
+  for (const auto& [name, method] : methods) {
+    server_.rpc().register_method(name, *this, alive_, method);
+  }
 }
 
 ObjectReplicationService::~ObjectReplicationService() { *alive_ = false; }
 
 // -------------------------------------------------------------- index
 
-void ObjectReplicationService::handle_get_index(Respond respond) {
+void ObjectReplicationService::handle_get_index(
+    const security::GsiContext&, std::uint64_t, std::span<const std::uint8_t>,
+    Respond respond) {
   if (server_.site().federation == nullptr) {
     respond(make_error(ErrorCode::kFailedPrecondition,
                        "site has no object store"),
@@ -155,6 +105,7 @@ void ObjectReplicationService::refresh_index_from(
 // ------------------------------------------------------ source (packing)
 
 void ObjectReplicationService::handle_pack(
+    const security::GsiContext&, std::uint64_t,
     std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   auto job = std::make_shared<PackJob>();
@@ -244,6 +195,7 @@ void ObjectReplicationService::send_chunk(
 }
 
 void ObjectReplicationService::handle_chunk_ack(
+    const security::GsiContext&, std::uint64_t,
     std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   (void)r.u64();  // request id (temporaries are uniquely named)
@@ -350,6 +302,7 @@ void ObjectReplicationService::start_site_request(
 }
 
 void ObjectReplicationService::handle_chunk(
+    const security::GsiContext&, std::uint64_t,
     std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::uint64_t request_id = r.u64();
@@ -442,6 +395,7 @@ void ObjectReplicationService::pull_chunk(
 }
 
 void ObjectReplicationService::handle_pack_done(
+    const security::GsiContext&, std::uint64_t,
     std::span<const std::uint8_t> params, Respond respond) {
   wire::Reader r(params);
   const std::uint64_t request_id = r.u64();

@@ -23,6 +23,13 @@
 
 namespace gdmp::objrep {
 
+/// RPC method names the service registers on its site's GDMP server.
+inline constexpr const char* kMethodGetIndex = "objrep.get_index";
+inline constexpr const char* kMethodPack = "objrep.pack";
+inline constexpr const char* kMethodChunk = "objrep.chunk";
+inline constexpr const char* kMethodPackDone = "objrep.pack_done";
+inline constexpr const char* kMethodChunkAck = "objrep.chunk_ack";
+
 struct ObjectReplicationConfig {
   objstore::CopierConfig copier;
   /// Overlap copying and transfer (ablation knob for bench_pipeline).
@@ -83,13 +90,17 @@ class ObjectReplicationService {
   struct Request;      // destination side, the user-visible unit
   using Respond = rpc::RpcServer::Respond;
 
-  void handle_get_index(Respond respond);
-  void handle_pack(std::span<const std::uint8_t> params, Respond respond);
-  void handle_chunk(std::span<const std::uint8_t> params, Respond respond);
-  void handle_pack_done(std::span<const std::uint8_t> params,
-                        Respond respond);
-  void handle_chunk_ack(std::span<const std::uint8_t> params,
-                        Respond respond);
+  // RPC handlers, all with the RpcServer::Handler argument list.
+  void handle_get_index(const security::GsiContext&, std::uint64_t,
+                        std::span<const std::uint8_t>, Respond respond);
+  void handle_pack(const security::GsiContext&, std::uint64_t,
+                   std::span<const std::uint8_t> params, Respond respond);
+  void handle_chunk(const security::GsiContext&, std::uint64_t,
+                    std::span<const std::uint8_t> params, Respond respond);
+  void handle_pack_done(const security::GsiContext&, std::uint64_t,
+                        std::span<const std::uint8_t> params, Respond respond);
+  void handle_chunk_ack(const security::GsiContext&, std::uint64_t,
+                        std::span<const std::uint8_t> params, Respond respond);
 
   void send_chunk(const std::shared_ptr<PackJob>& job,
                   const objstore::PackedOutput& chunk);

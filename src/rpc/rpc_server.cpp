@@ -137,14 +137,19 @@ void RpcServer::dispatch(const std::shared_ptr<Session>& session,
     tracer.attr(span, "peer", session->peer.peer);
   }
 
-  auto respond = [session, id, span](Status status,
-                                     std::vector<std::uint8_t> payload) {
+  auto respond = [session, id, span, alive = std::weak_ptr<bool>(alive_)](
+                     Status status, std::vector<std::uint8_t> payload) {
     if (span.valid()) {
       auto& t = obs::Tracer::global();
       t.attr(span, "status", status.is_ok() ? "ok" : status.to_string());
       t.end(span);
     }
-    if (session->conn->state() == net::TcpConnection::State::kClosed) return;
+    // ~RpcServer closed every session; a handler that outlived it must not
+    // send into one.
+    if (alive.expired() ||
+        session->conn->state() == net::TcpConnection::State::kClosed) {
+      return;
+    }
     RpcMessage reply;
     reply.kind = MessageKind::kResponse;
     reply.request_id = id;

@@ -23,7 +23,8 @@ namespace gdmp::rpc {
 
 class RpcServer {
  public:
-  /// Completes a request: status + response payload.
+  /// Completes a request: status + response payload. Once the server has
+  /// been destroyed (its sessions closed) the reply goes nowhere.
   using Respond =
       std::function<void(Status, std::vector<std::uint8_t> payload)>;
   /// Handles one authenticated request. May call `respond` immediately or
@@ -34,6 +35,12 @@ class RpcServer {
                                      std::uint64_t session_id,
                                      std::span<const std::uint8_t> params,
                                      Respond respond)>;
+  /// A member function of a service with the Handler argument list.
+  template <class Owner>
+  using Method = void (Owner::*)(const security::GsiContext& peer,
+                                 std::uint64_t session_id,
+                                 std::span<const std::uint8_t> params,
+                                 Respond respond);
 
   RpcServer(net::TcpStack& stack, net::Port port,
             const security::CertificateAuthority& ca,
@@ -44,6 +51,27 @@ class RpcServer {
   RpcServer& operator=(const RpcServer&) = delete;
 
   void register_method(std::string name, Handler handler);
+
+  /// Binds `owner.*method` under `name`, guarded by the owner's liveness
+  /// sentinel: once `alive` has expired a request is answered kUnavailable
+  /// and never reaches `owner` (frames can still be queued in the
+  /// simulator while a service that registered here is being torn down).
+  template <class Owner>
+  void register_method(std::string name, Owner& owner,
+                       std::weak_ptr<bool> alive, Method<Owner> method) {
+    register_method(
+        std::move(name),
+        [owner = &owner, alive = std::move(alive), method](
+            const security::GsiContext& peer, std::uint64_t session_id,
+            std::span<const std::uint8_t> params, Respond respond) {
+          if (alive.expired()) {
+            respond(make_error(ErrorCode::kUnavailable, "service stopped"),
+                    {});
+            return;
+          }
+          (owner->*method)(peer, session_id, params, std::move(respond));
+        });
+  }
 
   /// Starts listening. Call after registering methods.
   Status start();

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "lint.h"
+#include "tokens.h"
 
 namespace gdmp::lint {
 namespace {
@@ -308,6 +309,27 @@ TEST(LintHotPath, MoveInACaptureOrMemberInitIsNotADefinition) {
   std::vector<std::string> hot;
   for (const auto& f : report.functions) hot.push_back(f.name);
   EXPECT_EQ(hot, std::vector<std::string>{"relay"});
+}
+
+TEST(LintHotPath, CallBeforeACommaIsNotADefinition) {
+  // In `respond(make_error(1), {})` the braces are the next argument, not
+  // a body: read as a definition, every make_error call in a hot function
+  // would link to it. A member-init list and a trailing return type still
+  // carry depth-0 commas before a real body.
+  const auto definitions = [](const std::string& source) {
+    std::vector<std::string> names;
+    for (const auto& f : detail::find_functions(scan_source(source).tokens)) {
+      names.push_back(f.name);
+    }
+    return names;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(definitions("void f() { respond(make_error(1), {}); }"),
+            Names{"f"});
+  EXPECT_EQ(definitions("A::A(int x) : a_(x), b_{x} { run(); }"),
+            Names{"A"});
+  EXPECT_EQ(definitions("auto f() -> std::pair<int, int> { return {}; }"),
+            Names{"f"});
 }
 
 // ---------------------------------------------------- obligation pass

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "counting_callback.h"
 #include "objrep/global_index.h"
 #include "objrep/replicator.h"
 #include "objrep/selection.h"
@@ -253,6 +254,18 @@ TEST(ObjectReplication, SurvivesDestructionMidReplication) {
   service.reset();
   f.grid.run_until(f.grid.simulator().now() + 3600 * kSecond);
   EXPECT_FALSE(done);  // the orphaned completion chain went quiet
+
+  // The GdmpServer still serves the dead service's methods: the RpcServer's
+  // guard answers them kUnavailable without touching the service.
+  testing::CountingCallback index;
+  f.grid.site(0)
+      .gdmp_server()
+      .peer(f.grid.site(1).host().id(), 2000)
+      .call(kMethodGetIndex, {},
+            index.wrap<Status, std::vector<std::uint8_t>>());
+  f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+  EXPECT_TRUE(index.exactly_once());
+  EXPECT_EQ(index.last_code(), ErrorCode::kUnavailable);
 }
 
 TEST(ObjectReplication, SourceTemporariesDeleted) {

@@ -278,5 +278,47 @@ TEST(Rpc, CallTimeoutFires) {
   EXPECT_EQ(status.code(), ErrorCode::kTimedOut);
 }
 
+/// A service that binds one method through the guarded registration.
+struct CountingService {
+  int calls = 0;
+  std::shared_ptr<bool> alive = std::make_shared<bool>(true);
+
+  void handle(const security::GsiContext&, std::uint64_t,
+              std::span<const std::uint8_t>, RpcServer::Respond respond) {
+    ++calls;
+    respond(Status::ok(), {});
+  }
+};
+
+TEST(Rpc, BoundMethodAnswersUnavailableOnceItsOwnerIsGone) {
+  RpcFixture f;
+  RpcServer server(*f.stack_b, 7000, f.ca, f.cert("server"));
+  CountingService service;
+  server.register_method("count", service, service.alive,
+                         &CountingService::handle);
+  ASSERT_TRUE(server.start().is_ok());
+  RpcClient client(*f.stack_a, f.path.host_b->id(), 7000, f.ca,
+                   f.cert("client"));
+
+  std::vector<Status> replies;
+  const auto record = [&](Status s, std::vector<std::uint8_t>) {
+    replies.push_back(std::move(s));
+  };
+  client.call("count", {}, record);
+  f.simulator.run_until(f.simulator.now() + 30 * kSecond);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_TRUE(replies[0].is_ok());
+  EXPECT_EQ(service.calls, 1);
+
+  // The owner's sentinel dies (the object itself stays readable, so a
+  // stray dispatch would show up as a second call).
+  service.alive.reset();
+  client.call("count", {}, record);
+  f.simulator.run_until(f.simulator.now() + 30 * kSecond);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[1].code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(service.calls, 1);
+}
+
 }  // namespace
 }  // namespace gdmp::rpc

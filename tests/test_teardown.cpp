@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog_rig.h"
 #include "counting_callback.h"
 #include "flow/flow_engine.h"
 #include "gridftp/client.h"
@@ -400,6 +401,41 @@ TEST(Teardown, RpcClientCloseFailsPendingOnce) {
   rig.simulator.run_until(rig.simulator.now() + 3600 * kSecond);
   rig.client.reset();
   EXPECT_TRUE(done.exactly_once());
+}
+
+// ---------------------------------------------------------------- catalog
+
+TEST(Teardown, CatalogServerDestroyedWithReplyPendingIsSilent) {
+  // The catalog answers after its LDAP latency, from a simulator event.
+  // Destroy the server while that reply is pending: a publish reply must
+  // not touch the dead catalog (its event once held a raw `this`), a
+  // lookup reply must not be sent into the session ~RpcServer closed, and
+  // the client's call still settles exactly once.
+  for (const bool lookup : {false, true}) {
+    SCOPED_TRACE(lookup ? "rc.lookup_batch" : "rc.publish");
+    testing::CatalogRig rig;
+    if (lookup) rig.publish_all(1);
+    const std::int64_t served = rig.server->operations_served();
+    CountingCallback done;
+    if (lookup) {
+      rig.client->lookup_batch(
+          "cms", rig.lfns(1),
+          done.wrap<Status, std::vector<Result<core::ReplicaInfo>>>());
+    } else {
+      rig.client->publish("cms", rig.file(0), "cern", "gsiftp://cern/px",
+                          done.wrap<Status>());
+    }
+    for (int step = 0;
+         step < 100000 && rig.server->operations_served() == served; ++step) {
+      rig.simulator.run_until(rig.simulator.now() + kMillisecond / 10);
+    }
+    ASSERT_EQ(rig.server->operations_served(), served + 1);
+    EXPECT_EQ(done.count(), 0);
+    rig.server.reset();
+    rig.simulator.run_until(rig.simulator.now() + 60 * kSecond);
+    EXPECT_TRUE(done.exactly_once());
+    EXPECT_FALSE(done.last_status().is_ok());
+  }
 }
 
 // ----------------------------------------------------------- grid services

@@ -146,6 +146,41 @@ TEST(UrlCopy, StripedGetDetectsDivergentSources) {
   EXPECT_FALSE(f.pools[0]->contains("/local/big"));
 }
 
+TEST(UrlCopy, StripedGetVerifiesExpectedCrcAndStampsSimTime) {
+  // Sources that agree with each other but not with the catalog fail the
+  // way a single-source FtpClient::get does; a verified file is stamped
+  // with the simulated time it was assembled.
+  StarFixture f({"dst", "s1", "s2"});
+  const Bytes size = 2 * kMiB;
+  (void)f.pools[1]->add_file("/pool/big", size, 0x11, 0);
+  (void)f.pools[2]->add_file("/pool/big", size, 0x11, 0);
+  UrlCopy copier(f.network, *f.stacks[0], f.ca,
+                 f.ca.issue("/CN=user", kYear));
+  const std::vector<std::string> sources = {"gsiftp://s1:2811/pool/big",
+                                            "gsiftp://s2:2811/pool/big"};
+  TransferOptions options;
+  options.expected_crc = crc32_synthetic(0x22, 0, size);
+  Status status = Status::ok();
+  copier.striped_get(sources, "/local/big", f.pools[0].get(), options,
+                     [&](Result<TransferResult> r) { status = r.status(); });
+  f.simulator.run_until(600 * kSecond);
+  EXPECT_EQ(status.code(), ErrorCode::kCorrupted);
+  EXPECT_FALSE(f.pools[0]->contains("/local/big"));
+
+  options.expected_crc = crc32_synthetic(0x11, 0, size);
+  SimTime assembled_at = -1;
+  copier.striped_get(sources, "/local/big", f.pools[0].get(), options,
+                     [&](Result<TransferResult> r) {
+                       ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+                       assembled_at = f.simulator.now();
+                     });
+  f.simulator.run_until(1200 * kSecond);
+  ASSERT_GT(assembled_at, 600 * kSecond);
+  const auto assembled = f.pools[0]->peek("/local/big");
+  ASSERT_TRUE(assembled.is_ok());
+  EXPECT_EQ(assembled->modify_time, assembled_at);
+}
+
 TEST(UrlCopy, StripedGetFasterThanSingleSourceWhenSourceLimited) {
   // Each source uplink is 10 Mbit/s; striping over three sources should
   // roughly triple the single-source rate.

@@ -340,8 +340,12 @@ std::vector<Function> find_functions(const std::vector<Token>& tokens) {
     // declaration, a call statement or an initializer, not a definition.
     // Leaving the enclosing bracket (a ')' or ']' at depth 0) means it was
     // a call inside an argument list or a lambda capture, e.g.
-    // `[r = std::move(r)](...) {` or `: cb_(std::move(cb)) {`.
+    // `[r = std::move(r)](...) {` or `: cb_(std::move(cb)) {`. So does a
+    // ',' at depth 0, as in `respond(make_error(...), {})`, unless a
+    // member-init list (`) : a_(x), b_{x} {`) or a trailing return type
+    // (`-> std::pair<int, int> {`) has begun.
     int paren_depth = 0;
+    bool commas_allowed = false;
     for (std::size_t k = params_close + 1;
          k < tokens.size() && k < params_close + 400; ++k) {
       if (paren_depth == 0 &&
@@ -351,8 +355,12 @@ std::vector<Function> find_functions(const std::vector<Token>& tokens) {
       if (punct_is(tokens[k], "(")) ++paren_depth;
       if (punct_is(tokens[k], ")")) --paren_depth;
       if (paren_depth > 0) continue;
+      if (punct_is(tokens[k], ":") || punct_is(tokens[k], "->")) {
+        commas_allowed = true;
+      }
       if (punct_is(tokens[k], ";") || punct_is(tokens[k], "=") ||
-          punct_is(tokens[k], "}")) {
+          punct_is(tokens[k], "}") ||
+          (punct_is(tokens[k], ",") && !commas_allowed)) {
         break;
       }
       if (punct_is(tokens[k], "{")) {
@@ -388,7 +396,7 @@ const std::set<std::string>& async_sink_calls() {
       "file_size",     "connect",         "publish",
       "replicate",     "enqueue",         "PeriodicTimer",
       "checksum",      "remove_remote",   "transfer_to",
-      "replicate_objects", "refresh_index_from",
+      "replicate_objects", "refresh_index_from", "with_latency",
   };
   return sinks;
 }
